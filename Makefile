@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz deprecated-surface
+.PHONY: ci fmt-check vet tier1 race race-pool build test bench bench-smoke bench-json bench-diff trace-smoke chaos-smoke graphd-smoke graphd-chaos profile fuzz perfbench-smoke
 
 # Seconds per fuzz target in `make fuzz`.
 FUZZTIME ?= 20s
 
-ci: fmt-check vet tier1 race race-pool bench-smoke trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff deprecated-surface
+ci: fmt-check vet tier1 race race-pool bench-smoke trace-smoke chaos-smoke graphd-smoke graphd-chaos bench-diff perfbench-smoke
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \
@@ -165,12 +165,12 @@ profile:
 	$(GO) run ./cmd/bfsrun -n 100000 -k 10 -r 4 -c 4 -verify=false -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof (open with: go tool pprof cpu.pprof)"
 
-# Deprecated-surface check: the examples (examples/compat in
-# particular) compile and run against the pre-redesign option aliases,
-# so the compat shims cannot silently rot.
-deprecated-surface:
-	$(GO) build ./examples/...
-	$(GO) run ./examples/compat
+# Host-clock benchmark smoke: the nested perfbench module is invisible
+# to the root `go test ./...`, so run its own tests — a 1/100-size,
+# oracle-checked pass over every workload — to catch public-API changes
+# that would break the benchmark.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Coverage-guided fuzzing: the hybrid wire codec round-trips, malformed
 # payload rejection, weighted edge-list IO, and distributed Δ-stepping

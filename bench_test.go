@@ -281,31 +281,13 @@ func BenchmarkDeltaStepping(b *testing.B) {
 	}
 }
 
-// BenchmarkTraversal1D measures the dedicated Algorithm 1 engine.
+// BenchmarkTraversal1D measures Algorithm 1: the column-wise 1D
+// partitioning, run as the 2D engine on a 1x16 mesh.
 func BenchmarkTraversal1D(b *testing.B) {
-	params := graph.Params{N: 100000, K: 10, Seed: 9}
-	layout, err := partition.NewLayout1D(params.N, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	stores, err := partition.Build1D(layout, func(fn func(u, v graph.Vertex)) error {
-		return params.VisitEdges(fn)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := comm.NewWorld(comm.Config{P: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := graph.Generate(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := graph.LargestComponentVertex(g)
+	fx := buildBenchFixture(b, 100000, 10, 1, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bfs.Run1D(w, stores, bfs.DefaultOptions(src)); err != nil {
+		if _, err := bfs.Run2D(fx.world, fx.stores, bfs.DefaultOptions(fx.src)); err != nil {
 			b.Fatal(err)
 		}
 	}

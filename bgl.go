@@ -13,8 +13,9 @@
 // The public surface is partition-polymorphic: Distribute splits a
 // graph under any of the paper's Table 1 partitionings (Part2D,
 // Part1DRow, Part1DCol — see WithPartition) and every search entry
-// point (BFS, Search, BiSearch, Path, SSSP, MultiBFS) dispatches to
-// the engine matching the DistGraph's partitioning. One Option
+// point (BFS, Search, BiSearch, Path, SSSP, MultiBFS) runs the 2D
+// engine on the mesh shape the DistGraph's partitioning fixes (the 1D
+// partitionings are its 1 x P and P x 1 meshes). One Option
 // vocabulary serves every algorithm: WithWire, WithChunkWords and
 // WithOccupancy configure the shared payload/codec machinery, while
 // algorithm-specific options (WithDirection, WithDelta, ...) apply
@@ -344,7 +345,9 @@ const (
 	// Part1DCol is the conventional column-wise 1D vertex partitioning
 	// of §2.1: each rank owns a contiguous vertex block with full edge
 	// lists (whole matrix columns), and each level is a single fold
-	// over all P ranks. Runs on the dedicated 1D engine (Algorithm 1).
+	// over all P ranks (Algorithm 1). It is the 2D layout with the mesh
+	// collapsed to 1 x P, run by the 2D engine: every processor column
+	// has one member, so the expand is the identity.
 	Part1DCol
 )
 
@@ -375,18 +378,11 @@ func WithPartition(p Partition) DistributeOption {
 }
 
 // DistGraph is a graph distributed over a cluster's ranks. It carries
-// its partitioning: every search entry point dispatches to the
-// matching engine.
+// its partitioning, which fixes the mesh shape of its 2D layout.
 type DistGraph struct {
-	graph *Graph
-	part  Partition
-
-	// 2D-layout storage (Part2D and Part1DRow).
-	layout *partition.Layout2D
+	graph  *Graph
+	part   Partition
 	stores []*partition.Store2D
-	// Dedicated 1D storage (Part1DCol).
-	layout1 *partition.Layout1D
-	stores1 []*partition.Store1D
 }
 
 // Distribute partitions g over the cluster's mesh under the selected
@@ -405,47 +401,30 @@ func (c *Cluster) Distribute(g *Graph, opts ...DistributeOption) (*DistGraph, er
 			"bgl: mesh %dx%d has more ranks (%d) than the graph has vertices (%d); no %s layout can give every rank work — shrink the mesh or grow the graph",
 			c.cfg.R, c.cfg.C, p, g.N(), cfg.part)
 	}
-	weighted := g.csr.Weighted()
-	dg := &DistGraph{graph: g, part: cfg.part}
+	r, cc := c.cfg.R, c.cfg.C
 	switch cfg.part {
-	case Part2D, Part1DRow:
-		r, cc := c.cfg.R, c.cfg.C
-		if cfg.part == Part1DRow {
-			r, cc = p, 1
-		}
-		l, err := partition.NewLayout2D(g.N(), r, cc)
-		if err != nil {
-			return nil, err
-		}
-		var stores []*partition.Store2D
-		if weighted {
-			stores, err = partition.Build2DWeighted(l, g.csr.VisitWeightedEdges)
-		} else {
-			stores, err = partition.Build2D(l, g.visitSource)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dg.layout, dg.stores = l, stores
+	case Part2D:
+	case Part1DRow:
+		r, cc = p, 1
 	case Part1DCol:
-		l, err := partition.NewLayout1D(g.N(), p)
-		if err != nil {
-			return nil, err
-		}
-		var stores []*partition.Store1D
-		if weighted {
-			stores, err = partition.Build1DWeighted(l, g.csr.VisitWeightedEdges)
-		} else {
-			stores, err = partition.Build1D(l, g.visitSource)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dg.layout1, dg.stores1 = l, stores
+		r, cc = 1, p
 	default:
 		return nil, fmt.Errorf("bgl: unknown partitioning %s", cfg.part)
 	}
-	return dg, nil
+	l, err := partition.NewLayout2D(g.N(), r, cc)
+	if err != nil {
+		return nil, err
+	}
+	var stores []*partition.Store2D
+	if g.csr.Weighted() {
+		stores, err = partition.Build2DWeighted(l, g.csr.VisitWeightedEdges)
+	} else {
+		stores, err = partition.Build2D(l, g.visitSource)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &DistGraph{graph: g, part: cfg.part, stores: stores}, nil
 }
 
 // Graph returns the underlying graph.
@@ -460,25 +439,6 @@ type MemoryStats = partition.MemoryStats
 // Memory returns per-rank storage statistics, demonstrating the
 // §2.4.1 claim that indexed state stays O(n/P) rather than O(n/C).
 func (dg *DistGraph) Memory() []MemoryStats {
-	if dg.part == Part1DCol {
-		out := make([]MemoryStats, len(dg.stores1))
-		for i, st := range dg.stores1 {
-			nonEmpty := 0
-			for li := 0; li < st.OwnedCount(); li++ {
-				if st.Off[li+1] > st.Off[li] {
-					nonEmpty++
-				}
-			}
-			out[i] = MemoryStats{
-				OwnedVertices:   st.OwnedCount(),
-				NonEmptyColumns: nonEmpty,
-				DistinctRows:    st.TargetCount,
-				EdgeEntries:     len(st.Adj),
-				DenseColumns:    st.OwnedCount(),
-			}
-		}
-		return out
-	}
 	out := make([]MemoryStats, len(dg.stores))
 	for i, st := range dg.stores {
 		out[i] = st.Memory()
@@ -504,26 +464,14 @@ const DeltaInf = sssp.DeltaInf
 func (c *Cluster) SSSP(dg *DistGraph, source Vertex, opts ...Option) (*SSSPResult, error) {
 	cfg := newSearchConfig(source)
 	cfg.apply(opts)
-	if dg.part == Part1DCol {
-		return sssp.Run1D(c.world, dg.stores1, cfg.sssp)
-	}
 	return sssp.Run2D(c.world, dg.stores, cfg.sssp)
-}
-
-// runUni dispatches a configured uni-directional search to the engine
-// matching dg's partitioning.
-func (c *Cluster) runUni(dg *DistGraph, o bfs.Options) (*Result, error) {
-	if dg.part == Part1DCol {
-		return bfs.Run1D(c.world, dg.stores1, o)
-	}
-	return bfs.Run2D(c.world, dg.stores, o)
 }
 
 // BFS runs a full distributed traversal from source.
 func (c *Cluster) BFS(dg *DistGraph, source Vertex, opts ...Option) (*Result, error) {
 	cfg := newSearchConfig(source)
 	cfg.apply(opts)
-	return c.runUni(dg, cfg.bfs)
+	return bfs.Run2D(c.world, dg.stores, cfg.bfs)
 }
 
 // Search runs a uni-directional s→t search that stops when t is
@@ -532,7 +480,7 @@ func (c *Cluster) Search(dg *DistGraph, s, t Vertex, opts ...Option) (*Result, e
 	cfg := newSearchConfig(s)
 	cfg.bfs.Target, cfg.bfs.HasTarget = t, true
 	cfg.apply(opts)
-	return c.runUni(dg, cfg.bfs)
+	return bfs.Run2D(c.world, dg.stores, cfg.bfs)
 }
 
 // BiSearch runs the bi-directional s→t search of §2.3 (the paper
@@ -541,9 +489,6 @@ func (c *Cluster) BiSearch(dg *DistGraph, s, t Vertex, opts ...Option) (*Result,
 	cfg := newSearchConfig(s)
 	cfg.bfs.Target, cfg.bfs.HasTarget = t, true
 	cfg.apply(opts)
-	if dg.part == Part1DCol {
-		return bfs.RunBidirectional1D(c.world, dg.stores1, cfg.bfs)
-	}
 	return bfs.RunBidirectional2D(c.world, dg.stores, cfg.bfs)
 }
 
@@ -556,7 +501,7 @@ func (c *Cluster) Path(dg *DistGraph, s, t Vertex, opts ...Option) ([]Vertex, *R
 	cfg := newSearchConfig(s)
 	cfg.bfs.Target, cfg.bfs.HasTarget = t, true
 	cfg.apply(opts)
-	res, err := c.runUni(dg, cfg.bfs)
+	res, err := bfs.Run2D(c.world, dg.stores, cfg.bfs)
 	if err != nil {
 		// A canceled run hands back its partial Result next to the
 		// *Canceled error; other failures have no Result.
@@ -600,8 +545,5 @@ func (c *Cluster) MultiBFS(dg *DistGraph, sources []Vertex, opts ...Option) (*Mu
 	}
 	cfg := newSearchConfig(sources[0])
 	cfg.apply(opts)
-	if dg.part == Part1DCol {
-		return bfs.MultiRun1D(c.world, dg.stores1, sources, cfg.bfs)
-	}
 	return bfs.MultiRun2D(c.world, dg.stores, sources, cfg.bfs)
 }

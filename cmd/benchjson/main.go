@@ -432,11 +432,11 @@ func main() {
 		}
 	}
 	if *out5 != "" {
-		layout1, err := partition.NewLayout1D(*n, *r**c)
+		layout1, err := partition.NewLayout2D(*n, 1, *r**c)
 		if err != nil {
 			fail(err)
 		}
-		wstores1, err := partition.Build1DWeighted(layout1, wg.VisitWeightedEdges)
+		wstores1, err := partition.Build2DWeighted(layout1, wg.VisitWeightedEdges)
 		if err != nil {
 			fail(err)
 		}
@@ -487,7 +487,7 @@ func ssspOverlapPoints(sync, async *sssp.Result) []OverlapPoint {
 // configuration under the synchronous and overlapped schedules — same
 // workload, same words, different clocks — with the flagship Δ-stepping
 // run checked against the ≥1.3x bar.
-func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition.Store2D, wstores1 []*partition.Store1D,
+func writeOverlapBaseline(path string, w *harness.Workload, wstores, wstores1 []*partition.Store2D,
 	src, wsrc graph.Vertex, n int, k float64, seed int64, r, c int) error {
 	doc := Baseline5{N: n, K: k, Seed: seed, Mesh: fmt.Sprintf("%dx%d", r, c)}
 	const flagship = "sssp-1dcol-delta128"
@@ -555,10 +555,11 @@ func writeOverlapBaseline(path string, w *harness.Workload, wstores []*partition
 		runOne := func(async bool) (*sssp.Result, error) {
 			opts := baseOpts
 			opts.Async = async
+			stores := wstores
 			if cf.part == "1dcol" {
-				return sssp.Run1D(w.World, wstores1, opts)
+				stores = wstores1 // the 1 x P layout
 			}
-			return sssp.Run2D(w.World, wstores, opts)
+			return sssp.Run2D(w.World, stores, opts)
 		}
 		syncRes, err := runOne(false)
 		if err != nil {

@@ -10,8 +10,8 @@
 // oracle.
 //
 // With -part it distributes under any of the Table 1 partitionings
-// (2d, 1drow, 1dcol) — the same search entry points dispatch to the
-// matching engine. With -sources a,b,c it runs one batched
+// (2d, 1drow, 1dcol) — the same engine on the matching mesh shape
+// (1dcol is a 1 x P mesh, 1drow P x 1). With -sources a,b,c it runs one batched
 // multi-source BFS (one bit-lane per source, up to 64) and validates
 // every lane against the serial oracle.
 //

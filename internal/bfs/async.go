@@ -99,17 +99,23 @@ func (e *engine2D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
 	h0 := e.hist
 	rec := rankLevel{frontier: s.F.Len()}
 	bins := make([][]uint32, e.st.Layout.C)
-	scan := func(m int, part []uint32) {
-		// Mirror expandUnwire: WireSparse parts are raw id lists that never
-		// saw the sentinel guard, so they must not go through Decode.
-		if e.opts.Wire != frontier.WireSparse {
-			part = frontier.DecodePar(e.pl, part) // no-op on raw lists and local parts
+	if e.st.Dense() {
+		// A 1-member column's expand is the identity: scan the frontier.
+		rec.edges = e.scanPart(s, s.F.Vertices(), bins)
+	} else {
+		scan := func(m int, part []uint32) {
+			// Mirror expandUnwire: WireSparse parts are raw id lists that
+			// never saw the sentinel guard, so they must not go through
+			// Decode.
+			if e.opts.Wire != frontier.WireSparse {
+				part = frontier.DecodePar(e.pl, part) // no-op on raw lists and local parts
+			}
+			e.c.ChargeItemsPar(len(part), e.model.VertexCost)
+			rec.edges += e.scanPart(s, part, bins)
 		}
-		e.c.ChargeItemsPar(len(part), e.model.VertexCost)
-		rec.edges += e.scanPart(s, part, bins)
+		est := e.expandAsync(s, tagBase, scan)
+		rec.expandWords = est.RecvWords
 	}
-	est := e.expandAsync(s, tagBase, scan)
-	rec.expandWords = est.RecvWords
 
 	o := collective.Opts{Tag: tagBase + 1<<24, Chunk: e.opts.ChunkWords, Async: true}
 	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.rowG, e.st.Layout.OwnedRange, &e.hist)
@@ -147,47 +153,34 @@ func (e *multiEngine2D) sweepAsync(s *multiState, tagBase int) rankLevel {
 	h0 := e.hist
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
 	l := e.st.Layout
-	r := e.colG.Size()
-
-	sendV := make([][]uint32, r)
-	sendM := make([][]uint64, r)
-	s.F.Iterate(func(gv uint32) {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		m := s.fmask[li]
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
-				sendV[i] = append(sendV[i], gv)
-				sendM[i] = append(sendM[i], m)
-			}
-		}
-	})
-	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
 	b := len(s.levels)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-
 	binV := make([][]uint32, l.C)
 	binM := make([][]uint64, l.C)
-	scanned := 0
-	handle := func(m int, part []uint32) {
-		var avs []uint32
-		var ams []uint64
-		if m == e.colG.Me {
-			avs, ams = sendV[m], sendM[m]
-		} else {
-			avs, ams = decodeLanes(e.pl, part, b)
+	sendV, sendM := e.expandTargets(s)
+	if e.st.Dense() {
+		rec.edges = e.scanLanes(sendV[0], sendM[0], binV, binM)
+	} else {
+		lo, n := e.st.Lo, e.st.OwnedCount()
+		handle := func(m int, part []uint32) {
+			var avs []uint32
+			var ams []uint64
+			if m == e.colG.Me {
+				avs, ams = sendV[m], sendM[m]
+			} else {
+				avs, ams = decodeLanes(e.pl, part, b)
+			}
+			rec.edges += e.scanLanes(avs, ams, binV, binM)
 		}
-		scanned += e.scanLanes(avs, ams, binV, binM)
-	}
-	prep := func(i int) []uint32 {
-		if i == e.colG.Me {
-			return nil // stays local; handle reads sendV/sendM directly
+		prep := func(i int) []uint32 {
+			if i == e.colG.Me {
+				return nil // stays local; handle reads sendV/sendM directly
+			}
+			return encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
 		}
-		return encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
+		o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
+		_, est := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
+		rec.expandWords = est.RecvWords
 	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
-	_, est := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
-	rec.expandWords = est.RecvWords
-	rec.edges = scanned
 
 	deduped := make([]bool, l.C)
 	prepR := func(j int) []uint32 {
@@ -229,98 +222,4 @@ func (e *multiEngine2D) sweepAsync(s *multiState, tagBase int) rankLevel {
 	rec.containers = e.hist.Sub(h0)
 	tm.record(&rec)
 	return rec
-}
-
-// sweepAsync is the overlapped lane-parallel sweep under the 1D
-// partitioning: the scan is local, so the win is the pipelined fold —
-// per-bin OR-merges interleave with the posts.
-func (e *multiEngine1D) sweepAsync(s *multiState, tagBase int) rankLevel {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
-	p := e.world.Size()
-
-	binV, binM, scanned := e.scanLanes(s)
-	rec.edges = scanned
-	b := len(s.levels)
-
-	deduped := make([]bool, p)
-	prep := func(q int) []uint32 {
-		if !deduped[q] {
-			var d int
-			binV[q], binM[q], d = dedupOr(binV[q], binM[q])
-			rec.dups += d
-			e.c.ChargeItems(len(binV[q])+d, e.model.VertexCost)
-			deduped[q] = true
-		}
-		if q == e.world.Me {
-			return nil
-		}
-		dlo, dhi := l.OwnedRange(q)
-		return encodeLanes(e.pl, binV[q], binM[q], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	var rvs []uint32
-	var rms []uint64
-	handle := func(q int, part []uint32) {
-		var pvs []uint32
-		var pms []uint64
-		if q == e.world.Me {
-			pvs, pms = binV[q], binM[q]
-		} else {
-			pvs, pms = decodeLanes(e.pl, part, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
-	_, fst := collective.AllToAllAsync(e.c, e.world, o, prep, handle)
-	rec.foldWords = fst.RecvWords
-
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec
-}
-
-// stepAsync is the overlapped Algorithm 1 level: the scan precedes the
-// fold entirely (1D has no expand), so the win is the pipelined fold —
-// per-bin sort-merges interleave with the posts, and all P-1 transfers
-// fly concurrently instead of one transit per pairwise step.
-func (e *engine1D) stepAsync(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	rec := rankLevel{frontier: s.F.Len()}
-	bins, scanned := e.scanFrontier(s)
-	rec.edges = scanned
-
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: true}
-	o.Codec = foldCodec(e.c.Tracer(), e.pl, e.opts.Wire, e.world, e.st.Layout.OwnedRange, &e.hist)
-	nbar, fst := collective.FoldAsync(e.c, e.world, o, foldAlgKey(e.opts.Fold), sortPrep(e.c, e.model, bins))
-	rec.foldWords = fst.RecvWords
-	rec.dups = fst.Dups
-
-	e.c.ChargeItems(len(nbar), e.model.VertexCost)
-	foundTarget := false
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	for _, gu := range nbar {
-		li := e.st.LocalOf(graph.Vertex(gu))
-		if s.L[li] == graph.Unreached {
-			s.L[li] = s.level + 1
-			next.Add(gu)
-			rec.marked++
-			if e.opts.HasTarget && graph.Vertex(gu) == e.opts.Target {
-				foundTarget = true
-			}
-		}
-	}
-	s.F = next
-	s.level++
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec, foundTarget
 }

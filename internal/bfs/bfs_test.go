@@ -113,11 +113,11 @@ func TestRun2DAllAlgorithmCombinations(t *testing.T) {
 func TestRun1DMatchesSerial(t *testing.T) {
 	g := testGraph(t, 500, 4, 3)
 	for _, p := range []int{1, 2, 4, 7} {
-		l1, err := partition.NewLayout1D(g.N, p)
+		l1, err := partition.NewLayout2D(g.N, 1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st1, err := partition.Build1D(l1, visitCSR(g))
+		st1, err := partition.Build2D(l1, visitCSR(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestRun1DMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.LargestComponentVertex(g)
-		res, err := Run1D(w, st1, DefaultOptions(src))
+		res, err := Run2D(w, st1, DefaultOptions(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,35 +134,35 @@ func TestRun1DMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRun1DEquivalentToDegenerate2D: Algorithm 1 and Algorithm 2 with
-// R=1 are the same partitioning; their levels and fold volumes must
-// agree.
+// TestRun1DEquivalentToDegenerate2D: Algorithm 1 is Algorithm 2 on a
+// 1×P mesh. Every processor column has one member, so no level moves
+// an expand word or probes a column map (with the sent cache off, no
+// hash probe at all), and the labels match the serial oracle under
+// every fold collective and direction.
 func TestRun1DEquivalentToDegenerate2D(t *testing.T) {
 	g := testGraph(t, 400, 5, 4)
-	p := 4
-	src := graph.LargestComponentVertex(g)
-
-	l1, _ := partition.NewLayout1D(g.N, p)
-	st1, err := partition.Build1D(l1, visitCSR(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _ := comm.NewWorld(comm.Config{P: p})
-	opts := DefaultOptions(src)
-	opts.Fold = FoldDirect
-	res1, err := Run1D(w1, st1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fx := build2D(t, g, 1, p)
-	res2, err := Run2D(fx.world, fx.st2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levelsEqual(t, res2.Levels, res1.Levels, "1D vs 2D(R=1)")
-	if res1.TotalFoldWords != res2.TotalFoldWords {
-		t.Errorf("fold words differ: 1D=%d 2D(R=1)=%d", res1.TotalFoldWords, res2.TotalFoldWords)
+	fx := build2D(t, g, 1, 4)
+	for _, fold := range []FoldAlg{FoldDirect, FoldTwoPhase, FoldBruck} {
+		for _, dir := range []Direction{TopDown, DirectionOptimizing} {
+			opts := DefaultOptions(fx.src)
+			opts.Fold = fold
+			opts.Direction = dir
+			opts.SentCache = false
+			res, err := Run2D(fx.world, fx.st2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("1x4 fold=%v dir=%v", fold, dir)
+			levelsEqual(t, res.Levels, fx.serial, name)
+			if res.HashProbes != 0 {
+				t.Errorf("%s: %d hash probes, want 0", name, res.HashProbes)
+			}
+			for _, ls := range res.PerLevel {
+				if ls.Direction == TopDown && ls.ExpandWords != 0 {
+					t.Errorf("%s level %d: %d expand words, want 0", name, ls.Level, ls.ExpandWords)
+				}
+			}
+		}
 	}
 }
 
@@ -444,8 +444,8 @@ func TestDeterministicSimulatedTime(t *testing.T) {
 func TestBidirectional1DDistances(t *testing.T) {
 	g := testGraph(t, 600, 5, 18)
 	p := 4
-	l1, _ := partition.NewLayout1D(g.N, p)
-	st1, err := partition.Build1D(l1, visitCSR(g))
+	l1, _ := partition.NewLayout2D(g.N, 1, p)
+	st1, err := partition.Build2D(l1, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestBidirectional1DDistances(t *testing.T) {
 		want := graph.Distance(g, s, dst)
 		opts := DefaultOptions(s)
 		opts.Target, opts.HasTarget = dst, true
-		res, err := RunBidirectional1D(w, st1, opts)
+		res, err := RunBidirectional2D(w, st1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,13 +476,13 @@ func TestBidirectional1DDistances(t *testing.T) {
 		}
 	}
 	// Requires a target.
-	if _, err := RunBidirectional1D(w, st1, DefaultOptions(0)); err == nil {
+	if _, err := RunBidirectional2D(w, st1, DefaultOptions(0)); err == nil {
 		t.Fatal("1D bidir without target accepted")
 	}
 	// Trivial s == t.
 	opts := DefaultOptions(5)
 	opts.Target, opts.HasTarget = 5, true
-	res, err := RunBidirectional1D(w, st1, opts)
+	res, err := RunBidirectional2D(w, st1, opts)
 	if err != nil || !res.Found || res.Distance != 0 {
 		t.Fatalf("trivial 1D bidir: %v %v %d", err, res.Found, res.Distance)
 	}
@@ -491,8 +491,8 @@ func TestBidirectional1DDistances(t *testing.T) {
 func TestFoldBruckMatchesSerial1D(t *testing.T) {
 	g := testGraph(t, 400, 5, 20)
 	p := 5
-	l1, _ := partition.NewLayout1D(g.N, p)
-	st1, err := partition.Build1D(l1, visitCSR(g))
+	l1, _ := partition.NewLayout2D(g.N, 1, p)
+	st1, err := partition.Build2D(l1, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestFoldBruckMatchesSerial1D(t *testing.T) {
 	src := graph.LargestComponentVertex(g)
 	opts := DefaultOptions(src)
 	opts.Fold = FoldBruck
-	res, err := Run1D(w, st1, opts)
+	res, err := Run2D(w, st1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,9 @@ func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options
 	if !opts.HasTarget {
 		return nil, fmt.Errorf("bfs: bi-directional search requires a target")
 	}
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P() != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P(), w.P)
+	l, err := validateRun(w, stores, opts)
+	if err != nil {
+		return nil, err
 	}
 	if int(opts.Source) >= l.N || int(opts.Target) >= l.N {
 		return nil, fmt.Errorf("bfs: endpoints (%d,%d) out of range for n=%d", opts.Source, opts.Target, l.N)
@@ -56,7 +53,7 @@ func RunBidirectional2D(w *comm.World, stores []*partition.Store2D, opts Options
 	comms, err := w.Run(func(c *comm.Comm) {
 		st := stores[c.Rank()]
 		e := newEngine2D(c, st, opts)
-		recs, ss, best, cxl := driveBidir(c, e, st, opts)
+		recs, ss, best, cxl := driveBidir(c, e, opts)
 		perRank[c.Rank()] = recs
 		localLevels[c.Rank()] = ss.L
 		probes[c.Rank()] = e.probeDelta()

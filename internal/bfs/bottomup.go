@@ -36,110 +36,6 @@ func unwireBitPieces(p *pool.Pool, opts Options, pieces [][]uint32, widths func(
 	}
 }
 
-// stepBottomUp runs one bottom-up level under the 1D partitioning:
-// every rank learns the global frontier as a bitmap (one all-gather of
-// owned-range bitmaps — 1D stores full edge lists, so no fold is
-// needed), then scans its unlabeled owned vertices for frontier
-// parents.
-func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	// dir is stamped here, not by the caller: the level span closes
-	// inside tm.record with rec.dir as its arg.
-	rec := rankLevel{dir: BottomUp, frontier: s.F.Len()}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	payload := wireBits(e.pl, e.opts, &e.hist, frontier.Bits(s.F), e.st.OwnedCount())
-	var pieces [][]uint32
-	var st collective.Stats
-	if e.opts.Async {
-		// Pipelined ring: each received piece is forwarded before its
-		// handling charge, which then hides the next hop's transit.
-		pieces, st = collective.AllGatherAsync(e.c, e.world, o, payload, func(m int, piece []uint32) {
-			if m != e.world.Me {
-				e.c.ChargeItems(len(piece), e.model.VertexCost)
-			}
-		})
-	} else {
-		pieces, st = collective.AllGather(e.c, e.world, o, payload)
-		e.c.ChargeItems(st.RecvWords, e.model.VertexCost)
-	}
-	unwireBitPieces(e.pl, e.opts, pieces, e.st.Layout.OwnedCount)
-	rec.expandWords = st.RecvWords
-
-	bs := uint32(e.st.Layout.BlockSize())
-	inFrontier := func(u graph.Vertex) bool {
-		r := uint32(u) / bs
-		return frontier.TestBit(pieces[r], uint32(u)-r*bs)
-	}
-
-	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
-	edges := 0
-	foundTarget := false
-	if nc := pool.Chunks(len(s.L), ownedGrain); e.pl.Workers() > 1 && nc > 1 {
-		// Workers write s.L only at chunk-disjoint indices and record the
-		// vertices they labeled; the chunk-ordered replay below rebuilds
-		// the frontier in the serial ascending order.
-		type chunkOut struct {
-			marked []uint32 // local indices, ascending
-			edges  int
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(s.L), ownedGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			for li := lo; li < hi; li++ {
-				if s.L[li] != graph.Unreached {
-					continue
-				}
-				for _, u := range e.st.Neighbors(uint32(li)) {
-					o.edges++
-					if inFrontier(u) {
-						s.L[li] = s.level + 1
-						o.marked = append(o.marked, uint32(li))
-						break
-					}
-				}
-			}
-		})
-		for i := range outs {
-			edges += outs[i].edges
-			for _, li := range outs[i].marked {
-				gv := e.st.GlobalOf(li)
-				next.Add(uint32(gv))
-				rec.marked++
-				if e.opts.HasTarget && gv == e.opts.Target {
-					foundTarget = true
-				}
-			}
-		}
-	} else {
-		for li := range s.L {
-			if s.L[li] != graph.Unreached {
-				continue
-			}
-			for _, u := range e.st.Neighbors(uint32(li)) {
-				edges++
-				if inFrontier(u) {
-					s.L[li] = s.level + 1
-					gv := e.st.GlobalOf(uint32(li))
-					next.Add(uint32(gv))
-					rec.marked++
-					if e.opts.HasTarget && gv == e.opts.Target {
-						foundTarget = true
-					}
-					break
-				}
-			}
-		}
-	}
-	rec.edges = edges
-	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
-	s.F = next
-	s.level++
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec, foundTarget
-}
-
 // stepBottomUp runs one bottom-up level under the 2D partitioning:
 //
 //  1. Processor-row all-gather of owned-frontier bitmaps — the owners
@@ -158,6 +54,11 @@ func (e *engine1D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 // Under WireHybrid all three bitmap exchanges carry container-encoded
 // payloads (the gathers at the caller edges, the claims through
 // collective.Opts.Codec).
+//
+// On a dense store (1×P mesh) steps 2 and 4 are the identity: the scan
+// reads this rank's own levels and keeps its own claims, so the level is
+// Algorithm 1's bottom-up shape — one frontier all-gather over all P
+// ranks, then a scan of full edge lists.
 func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	l := e.st.Layout
@@ -190,22 +91,51 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 	fPieces, fst := gather(e.rowG, o, fSend)
 	unwireBitPieces(e.pl, e.opts, fPieces, func(i int) int { return l.OwnedCount(e.rowG.Ranks[i]) })
 
-	un := frontier.NewBits(e.st.OwnedCount())
-	for li, lv := range s.L {
-		if lv == graph.Unreached {
-			frontier.SetBit(un, uint32(li))
+	dense := e.st.Dense()
+	var uPieces [][]uint32
+	rec.expandWords = fst.RecvWords
+	if !dense {
+		un := frontier.NewBits(e.st.OwnedCount())
+		for li, lv := range s.L {
+			if lv == graph.Unreached {
+				frontier.SetBit(un, uint32(li))
+			}
 		}
+		o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+		var ust collective.Stats
+		uPieces, ust = gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
+		unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
+		rec.expandWords += ust.RecvWords
 	}
-	o2 := collective.Opts{Tag: tagBase + 1<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	uPieces, ust := gather(e.colG, o2, wireBits(e.pl, e.opts, &e.hist, un, e.st.OwnedCount()))
-	unwireBitPieces(e.pl, e.opts, uPieces, func(i int) int { return l.OwnedCount(e.colG.Ranks[i]) })
-	rec.expandWords = fst.RecvWords + ust.RecvWords
 
-	// My row vertices u satisfy BlockOf(u) mod R == my mesh row, so
-	// their owner sits at row-group index BlockOf(u)/R.
+	// My row vertices u lie in the blocks my processor row owns; index
+	// the gathered frontier pieces by block.
+	fByBlock := make([][]uint32, l.P())
+	for i, piece := range fPieces {
+		fByBlock[l.BlockOfRank(e.rowG.Ranks[i])] = piece
+	}
 	inFrontier := func(u graph.Vertex) bool {
 		b := uint32(u) / bs
-		return frontier.TestBit(fPieces[int(b)/l.R], uint32(u)-b*bs)
+		return frontier.TestBit(fByBlock[b], uint32(u)-b*bs)
+	}
+	// colPos locates column ci's vertex within my processor column: the
+	// column-group member m owning it and its offset in m's block.
+	// unlabeled reads that member's gathered bitmap (on a dense store,
+	// my own levels).
+	colBase := uint32(e.st.J * l.R * l.BlockSize())
+	colPos := func(ci int) (int, uint32) {
+		if dense {
+			return 0, uint32(ci)
+		}
+		x := uint32(e.st.ColIds[ci]) - colBase
+		m := x / bs
+		return int(m), x - m*bs
+	}
+	unlabeled := func(m int, off uint32) bool {
+		if dense {
+			return s.L[off] == graph.Unreached
+		}
+		return frontier.TestBit(uPieces[m], off)
 	}
 
 	claims := make([][]uint32, l.R)
@@ -213,19 +143,17 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		claims[i] = frontier.NewBits(l.OwnedCount(e.colG.Ranks[i]))
 	}
 	edges := 0
-	if nc := pool.Chunks(len(e.st.ColIds), ownedGrain); e.pl.Workers() > 1 && nc > 1 {
+	ncols := e.st.Columns()
+	if nc := pool.Chunks(ncols, ownedGrain); e.pl.Workers() > 1 && nc > 1 {
 		// Distinct column vertices can claim distinct bits of a shared
 		// claims word, so the set must be a CAS; which bits get set is
 		// schedule-independent (each vertex's scan touches only its own
 		// partial list).
 		chunkEdges := make([]int, nc)
-		e.pl.Run(len(e.st.ColIds), ownedGrain, func(ch, lo, hi int) {
+		e.pl.Run(ncols, ownedGrain, func(ch, lo, hi int) {
 			for ci := lo; ci < hi; ci++ {
-				v := e.st.ColIds[ci]
-				b := uint32(v) / bs
-				m := int(b) % l.R
-				off := uint32(v) - b*bs
-				if !frontier.TestBit(uPieces[m], off) {
+				m, off := colPos(ci)
+				if !unlabeled(m, off) {
 					continue
 				}
 				for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
@@ -241,13 +169,9 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 			edges += n
 		}
 	} else {
-		for ci, v := range e.st.ColIds {
-			// Column vertices v are owned within my processor column, at
-			// column-group index BlockOf(v) mod R.
-			b := uint32(v) / bs
-			m := int(b) % l.R
-			off := uint32(v) - b*bs
-			if !frontier.TestBit(uPieces[m], off) {
+		for ci := 0; ci < ncols; ci++ {
+			m, off := colPos(ci)
+			if !unlabeled(m, off) {
 				continue
 			}
 			for _, u := range e.st.Rows[e.st.Off[ci]:e.st.Off[ci+1]] {
@@ -260,30 +184,34 @@ func (e *engine2D) stepBottomUp(s *sideState, tagBase int) (rankLevel, bool) {
 		}
 	}
 	rec.edges = edges
-	e.c.ChargeItemsPar(len(e.st.ColIds), e.model.VertexCost)
+	if !dense {
+		e.c.ChargeItemsPar(ncols, e.model.VertexCost) // the column-bitmap sweep
+	}
 	e.c.ChargeItemsPar(edges, e.model.EdgeCost)
 
-	o3 := collective.Opts{Tag: tagBase + 2<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
-	if e.opts.Wire == frontier.WireHybrid {
-		o3.Codec = &collective.Codec{
-			Enc: func(m int, w []uint32) []uint32 {
-				return frontier.EncodeBitsPar(e.pl, w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
-			},
-			Dec: func(m int, buf []uint32) []uint32 {
-				return frontier.DecodeBitsPar(e.pl, buf, l.OwnedCount(e.colG.Ranks[m]))
-			},
+	mine := claims[0] // a 1-member column's claim reduce is the identity
+	if !dense {
+		o3 := collective.Opts{Tag: tagBase + 2<<22, Chunk: e.opts.ChunkWords, Async: e.opts.Async}
+		if e.opts.Wire == frontier.WireHybrid {
+			o3.Codec = &collective.Codec{
+				Enc: func(m int, w []uint32) []uint32 {
+					return frontier.EncodeBitsPar(e.pl, w, l.OwnedCount(e.colG.Ranks[m]), e.opts.Wire, &e.hist)
+				},
+				Dec: func(m int, buf []uint32) []uint32 {
+					return frontier.DecodeBitsPar(e.pl, buf, l.OwnedCount(e.colG.Ranks[m]))
+				},
+			}
 		}
+		var cst collective.Stats
+		if e.opts.Async {
+			mine, cst = collective.ReduceScatterOrAsync(e.c, e.colG, o3,
+				func(m int) []uint32 { return claims[m] }, chargeRecv(e.colG.Me))
+		} else {
+			mine, cst = collective.ReduceScatterOr(e.c, e.colG, o3, claims)
+			e.c.ChargeItems(cst.RecvWords, e.model.VertexCost)
+		}
+		rec.foldWords = cst.RecvWords
 	}
-	var mine []uint32
-	var cst collective.Stats
-	if e.opts.Async {
-		mine, cst = collective.ReduceScatterOrAsync(e.c, e.colG, o3,
-			func(m int) []uint32 { return claims[m] }, chargeRecv(e.colG.Me))
-	} else {
-		mine, cst = collective.ReduceScatterOr(e.c, e.colG, o3, claims)
-		e.c.ChargeItems(cst.RecvWords, e.model.VertexCost)
-	}
-	rec.foldWords = cst.RecvWords
 
 	next := e.opts.newFrontier(e.st.Lo, e.st.OwnedCount())
 	foundTarget := false

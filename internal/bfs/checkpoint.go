@@ -20,8 +20,9 @@ import (
 	"repro/internal/frontier"
 )
 
-// ckptVersion guards the blob layout.
-const ckptVersion = 1
+// ckptVersion guards the blob layout. Version 2: 1×P (Part1DCol) blobs
+// carry the 2D engine's extra state.
+const ckptVersion = 2
 
 // optsFingerprint folds every option that must match between the
 // checkpointing and the restoring run — anything that changes the
@@ -56,7 +57,7 @@ func optsFingerprint(o Options) uint64 {
 
 // runFingerprint is the full workload identity: engine partitioning,
 // options, and world size.
-func runFingerprint(e stepper, opts Options, p int) uint64 {
+func runFingerprint(e *engine2D, opts Options, p int) uint64 {
 	return checkpoint.Fingerprint(e.fingerprint(), optsFingerprint(opts), uint64(p))
 }
 
@@ -82,7 +83,7 @@ func validateRobustness(opts Options, uniDriver bool) error {
 }
 
 // saveUniBlob serializes one rank's uni-directional driver state.
-func saveUniBlob(c *comm.Comm, e stepper, s *sideState, recs []rankLevel, unlabeledDeg uint64, redTag int) []uint32 {
+func saveUniBlob(c *comm.Comm, e *engine2D, s *sideState, recs []rankLevel, unlabeledDeg uint64, redTag int) []uint32 {
 	enc := &checkpoint.Enc{}
 	enc.U32(ckptVersion)
 	enc.U64(unlabeledDeg)
@@ -99,7 +100,7 @@ func saveUniBlob(c *comm.Comm, e stepper, s *sideState, recs []rankLevel, unlabe
 
 // restoreUniBlob is saveUniBlob's inverse: it rebuilds the side and
 // statistics and loads the transport state onto the (fresh) rank.
-func restoreUniBlob(c *comm.Comm, e stepper, opts Options, blob []uint32) (*sideState, []rankLevel, uint64, int) {
+func restoreUniBlob(c *comm.Comm, e *engine2D, opts Options, blob []uint32) (*sideState, []rankLevel, uint64, int) {
 	dec := checkpoint.NewDec(blob)
 	if v := dec.U32(); v != ckptVersion {
 		panic(fmt.Sprintf("bfs: checkpoint blob version %d, want %d", v, ckptVersion))
@@ -142,7 +143,7 @@ func encodeSide(enc *checkpoint.Enc, s *sideState) {
 
 // decodeSide rebuilds a sideState through the engine's own
 // constructor, so sizes and representations match the engine exactly.
-func decodeSide(dec *checkpoint.Dec, e stepper, opts Options) *sideState {
+func decodeSide(dec *checkpoint.Dec, e *engine2D, opts Options) *sideState {
 	s := e.newSide(opts.Source)
 	s.level = int32(dec.U32())
 	if n := dec.Int(); n != len(s.L) {
@@ -227,38 +228,18 @@ func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
 	}
 }
 
-// engine fingerprints and extra-state hooks.
-
-func (e *engine1D) fingerprint() uint64 {
-	l := e.st.Layout
-	return checkpoint.Fingerprint(uint64(l.N), 1, uint64(l.P))
-}
-
-// saveExtra persists the 1D degree-sum cache — it is computed without
-// charges, but restoring it keeps the restored run's reductions
-// byte-identical without rescanning — and the pre-checkpoint hash-probe
-// delta, so the restored Result's HashProbes matches the uninterrupted
-// run.
-func (e *engine1D) saveExtra(enc *checkpoint.Enc) {
-	enc.Bool(e.degComputed)
-	enc.U64(e.degTotal)
-	enc.U64(e.probeDelta())
-}
-
-func (e *engine1D) restoreExtra(dec *checkpoint.Dec) {
-	e.degComputed = dec.Bool()
-	e.degTotal = dec.U64()
-	e.probes0 = e.st.TargetMap.Probes() - dec.U64()
-}
+// engine fingerprint and extra-state hooks.
 
 func (e *engine2D) fingerprint() uint64 {
 	l := e.st.Layout
 	return checkpoint.Fingerprint(uint64(l.N), uint64(l.R), uint64(l.C))
 }
 
-// saveExtra persists the 2D degree-exchange result: computing it
-// charges an AllToAll, which already happened in the checkpointing run
-// — a restored run must reuse the cache, not re-pay the exchange.
+// saveExtra persists the degree-exchange result — computing it charges
+// an AllToAll, which already happened in the checkpointing run, so a
+// restored run must reuse the cache, not re-pay the exchange — and the
+// pre-checkpoint hash-probe delta, so the restored Result's HashProbes
+// matches the uninterrupted run.
 func (e *engine2D) saveExtra(enc *checkpoint.Enc) {
 	enc.Bool(e.deg != nil)
 	if e.deg != nil {
@@ -271,5 +252,5 @@ func (e *engine2D) restoreExtra(dec *checkpoint.Dec) {
 	if dec.Bool() {
 		e.deg = dec.Words()
 	}
-	e.probes0 = e.st.ColMap.Probes() + e.st.RowMap.Probes() - dec.U64()
+	e.probes0 = e.st.Probes() - dec.U64()
 }

@@ -81,11 +81,11 @@ func TestCheckpointRestore2D(t *testing.T) {
 func TestCheckpointRestore1D(t *testing.T) {
 	g := testGraph(t, 500, 4, 12)
 	p := 4
-	l1, err := partition.NewLayout1D(g.N, p)
+	l1, err := partition.NewLayout2D(g.N, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, err := partition.Build1D(l1, visitCSR(g))
+	st1, err := partition.Build2D(l1, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,32 +94,35 @@ func TestCheckpointRestore1D(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.LargestComponentVertex(g)
-	opts := DefaultOptions(src)
-	opts.SentCache = true
+	for _, dir := range []Direction{TopDown, DirectionOptimizing} {
+		opts := DefaultOptions(src)
+		opts.SentCache = true
+		opts.Direction = dir
 
-	full, err := Run1D(w, st1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.MaxLevel() < 2 {
-		t.Fatalf("graph too shallow (max level %d)", full.MaxLevel())
-	}
+		full, err := Run2D(w, st1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.MaxLevel() < 2 {
+			t.Fatalf("graph too shallow (max level %d)", full.MaxLevel())
+		}
 
-	opts.Checkpoint = checkpoint.NewPlan(2)
-	if _, err := Run1D(w, st1, opts); err != nil {
-		t.Fatal(err)
-	}
-	snap := opts.Checkpoint.Snapshot()
+		opts.Checkpoint = checkpoint.NewPlan(2)
+		if _, err := Run2D(w, st1, opts); err != nil {
+			t.Fatal(err)
+		}
+		snap := opts.Checkpoint.Snapshot()
 
-	w2, _ := comm.NewWorld(comm.Config{P: p})
-	ropts := opts
-	ropts.Checkpoint = nil
-	ropts.Restore = snap
-	restored, err := Run1D(w2, st1, ropts)
-	if err != nil {
-		t.Fatal(err)
+		w2, _ := comm.NewWorld(comm.Config{P: p})
+		ropts := opts
+		ropts.Checkpoint = nil
+		ropts.Restore = snap
+		restored, err := Run2D(w2, st1, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsIdentical(t, restored, full, fmt.Sprintf("1D dir=%v at=2", dir))
 	}
-	resultsIdentical(t, restored, full, "1D at=2")
 }
 
 // TestCheckpointRestoreDirop exercises the degree-ledger and cached

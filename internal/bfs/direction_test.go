@@ -14,13 +14,13 @@ import (
 
 var allDirections = []Direction{TopDown, BottomUp, DirectionOptimizing}
 
-func build1D(t *testing.T, g *graph.CSR, p int) ([]*partition.Store1D, *comm.World) {
+func build1D(t *testing.T, g *graph.CSR, p int) ([]*partition.Store2D, *comm.World) {
 	t.Helper()
-	l1, err := partition.NewLayout1D(g.N, p)
+	l1, err := partition.NewLayout2D(g.N, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, err := partition.Build1D(l1, visitCSR(g))
+	st1, err := partition.Build2D(l1, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDirectionPoliciesMatchSerial2D(t *testing.T) {
 }
 
 // TestDirectionPoliciesMatchSerial1D: the same equivalence on the
-// dedicated Algorithm 1 engine.
+// column-wise 1D partitioning (Algorithm 1, a 1×P mesh).
 func TestDirectionPoliciesMatchSerial1D(t *testing.T) {
 	g := testGraph(t, 500, 4, 3)
 	src := graph.LargestComponentVertex(g)
@@ -61,7 +61,7 @@ func TestDirectionPoliciesMatchSerial1D(t *testing.T) {
 		for _, dir := range allDirections {
 			opts := DefaultOptions(src)
 			opts.Direction = dir
-			res, err := Run1D(w, st1, opts)
+			res, err := Run2D(w, st1, opts)
 			if err != nil {
 				t.Fatalf("p=%d dir %v: %v", p, dir, err)
 			}
@@ -105,7 +105,7 @@ func TestDirectionPoliciesHandBuiltGraphs(t *testing.T) {
 				t.Fatalf("%s 2D dir %v: %v", c.name, dir, err)
 			}
 			levelsEqual(t, res2.Levels, serial, fmt.Sprintf("%s 2D dir %v", c.name, dir))
-			res1, err := Run1D(w1, st1, opts)
+			res1, err := Run2D(w1, st1, opts)
 			if err != nil {
 				t.Fatalf("%s 1D dir %v: %v", c.name, dir, err)
 			}
@@ -269,7 +269,7 @@ func TestWireHybridAllDirections(t *testing.T) {
 		hyb.Wire = frontier.WireHybrid
 		for name, run := range map[string]func(o Options) (*Result, error){
 			"2D": func(o Options) (*Result, error) { return Run2D(fx.world, fx.st2, o) },
-			"1D": func(o Options) (*Result, error) { return Run1D(w1, st1, o) },
+			"1D": func(o Options) (*Result, error) { return Run2D(w1, st1, o) },
 		} {
 			resAuto, err := run(auto)
 			if err != nil {
@@ -363,7 +363,7 @@ func TestBidirectionalDirOptBeatsTopDown(t *testing.T) {
 	}
 }
 
-// TestWireAuto1D: the fold codec on the Algorithm 1 engine.
+// TestWireAuto1D: the fold codec on Algorithm 1 (a 1×P mesh).
 func TestWireAuto1D(t *testing.T) {
 	g := testGraph(t, 3000, 10, 24)
 	src := graph.LargestComponentVertex(g)
@@ -373,7 +373,7 @@ func TestWireAuto1D(t *testing.T) {
 		opts := DefaultOptions(src)
 		opts.Fold = fo
 		opts.Wire = frontier.WireAuto
-		res, err := Run1D(w, st1, opts)
+		res, err := Run2D(w, st1, opts)
 		if err != nil {
 			t.Fatalf("1D %v wire=auto: %v", fo, err)
 		}
@@ -401,7 +401,7 @@ func TestFrontierOccupancyExtremes(t *testing.T) {
 }
 
 // TestBidirectional1DWithDirections: the shared bi-directional driver
-// on the 1D engine under every policy.
+// on a 1×P mesh under every policy.
 func TestBidirectional1DWithDirections(t *testing.T) {
 	g := testGraph(t, 600, 5, 26)
 	src := graph.LargestComponentVertex(g)
@@ -417,7 +417,7 @@ func TestBidirectional1DWithDirections(t *testing.T) {
 		opts := DefaultOptions(src)
 		opts.Target, opts.HasTarget = far, true
 		opts.Direction = dir
-		res, err := RunBidirectional1D(w, st1, opts)
+		res, err := RunBidirectional2D(w, st1, opts)
 		if err != nil {
 			t.Fatalf("dir %v: %v", dir, err)
 		}

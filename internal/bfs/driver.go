@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -62,33 +61,6 @@ func (r *reducer) min(v uint64) uint64 {
 	return collective.AllReduceP2P(r.c, r.world, collective.Opts{Tag: r.tag}, v, collective.OpMin)
 }
 
-// stepper is a partitioning engine: it creates per-side search state
-// and advances one complete BFS level in either direction (expand where
-// applicable, neighbor scan, fold, mark for top-down; bitmap exchange
-// and parent search for bottom-up). Both the 1D (Algorithm 1) and 2D
-// (Algorithm 2) engines implement it, so the uni- and bi-directional
-// drivers below are shared.
-type stepper interface {
-	newSide(src graph.Vertex) *sideState
-	step(s *sideState, tagBase int) (rankLevel, bool)
-	stepBottomUp(s *sideState, tagBase int) (rankLevel, bool)
-	universe() int // global vertex count
-	// totalOutDegree and frontierOutDegree feed the Beamer-style
-	// direction heuristic: this rank's degree sum over its owned
-	// vertices, and over a side's current frontier. Only consulted
-	// under DirectionOptimizing.
-	totalOutDegree() uint64
-	frontierOutDegree(s *sideState) uint64
-	// fingerprint identifies the engine's partitioned workload (graph
-	// size, mesh shape) for checkpoint compatibility checks.
-	fingerprint() uint64
-	// saveExtra / restoreExtra serialize engine-internal caches whose
-	// absence would change a restored run's charges (the 2D engine's
-	// degree-exchange result, the 1D engine's degree sum).
-	saveExtra(enc *checkpoint.Enc)
-	restoreExtra(dec *checkpoint.Dec)
-}
-
 // chooseDirection picks a level's expansion direction from Beamer's
 // true alpha heuristic: a level runs bottom-up when the edges a
 // top-down expansion would scan (the frontier's out-degree, mf) exceed
@@ -121,7 +93,7 @@ func chooseDirection(opts Options, mf, mu uint64) Direction {
 // rec.dir themselves (before the level span closes, so the trace and the
 // Result agree); a caller-side stamp here would land after the span's
 // dir arg was already emitted.
-func stepDir(e stepper, s *sideState, dir Direction, tagBase int) (rankLevel, bool) {
+func stepDir(e *engine2D, s *sideState, dir Direction, tagBase int) (rankLevel, bool) {
 	if dir == BottomUp {
 		return e.stepBottomUp(s, tagBase)
 	}
@@ -147,7 +119,7 @@ func checkCancel(opts Options, red *reducer, clock float64, unit string, done in
 // bound, or a cooperative cancellation (non-nil *search.Canceled — the
 // state holds the partial labeling). It returns the per-level records,
 // the search state, and whether the target was found (globally agreed).
-func driveUni(c *comm.Comm, e stepper, opts Options) ([]rankLevel, *sideState, bool, *search.Canceled) {
+func driveUni(c *comm.Comm, e *engine2D, opts Options) ([]rankLevel, *sideState, bool, *search.Canceled) {
 	red := newReducer(c, opts)
 	dirop := opts.Direction == DirectionOptimizing
 	var s *sideState
@@ -218,9 +190,7 @@ const bidirInf = uint64(math.MaxUint32)
 // completed levels), either side exhausts, or a cooperative
 // cancellation fires. It returns the records, the forward side's
 // state, and the best distance (bidirInf if none).
-func driveBidir(c *comm.Comm, e stepper, st interface {
-	LocalOf(v graph.Vertex) uint32
-}, opts Options) ([]rankLevel, *sideState, uint64, *search.Canceled) {
+func driveBidir(c *comm.Comm, e *engine2D, opts Options) ([]rankLevel, *sideState, uint64, *search.Canceled) {
 	ss := e.newSide(opts.Source)
 	ts := e.newSide(opts.Target)
 	red := newReducer(c, opts)
@@ -279,7 +249,7 @@ func driveBidir(c *comm.Comm, e stepper, st interface {
 		}
 		tagSeq++
 		side.F.Iterate(func(gu uint32) {
-			li := st.LocalOf(graph.Vertex(gu))
+			li := e.st.LocalOf(graph.Vertex(gu))
 			if other.L[li] != graph.Unreached {
 				cand := uint64(side.L[li]) + uint64(other.L[li])
 				if cand < best {

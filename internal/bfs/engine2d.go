@@ -19,6 +19,13 @@ import (
 // engine2D holds one rank's state for Algorithm 2. The same level
 // machinery serves the uni-directional search and both sides of the
 // bi-directional search.
+//
+// On a 1×P mesh (R = 1, the column-wise 1D partitioning of Algorithm 1)
+// every processor column has one member and the store is dense, so the
+// column-side exchanges are the identity: the engine neither performs
+// nor charges the expand, the bottom-up unlabeled gather and claim
+// reduce, or the degree exchange, nor the work of consuming their
+// output. A level is then Algorithm 1's scan and fold over all P ranks.
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -35,8 +42,9 @@ type engine2D struct {
 	hist frontier.ContainerHist
 	// deg caches the global out-degree of every owned vertex, built on
 	// first use by a processor-column exchange (2D partial edge lists
-	// mean no single rank holds a vertex's full degree). Only the
-	// direction-optimizing policy consults it.
+	// mean no single rank holds a vertex's full degree; a dense store
+	// reads degrees off Off instead). Only the direction-optimizing
+	// policy consults it.
 	deg []uint32
 	// probes0 is the stores' combined hash-probe counter at run (or
 	// restore) start; probeDelta reports this run's probes against it.
@@ -55,15 +63,13 @@ func newEngine2D(c *comm.Comm, st *partition.Store2D, opts Options) *engine2D {
 		colG:    mesh.ColGroup(c.Rank()),
 		rowG:    mesh.RowGroup(c.Rank()),
 		pl:      pool.New(opts.Workers),
-		probes0: st.ColMap.Probes() + st.RowMap.Probes(),
+		probes0: st.Probes(),
 	}
 }
 
 // probeDelta returns the hash probes performed since the engine was
 // built, plus any restored pre-checkpoint probes.
-func (e *engine2D) probeDelta() uint64 {
-	return e.st.ColMap.Probes() + e.st.RowMap.Probes() - e.probes0
-}
+func (e *engine2D) probeDelta() uint64 { return e.st.Probes() - e.probes0 }
 
 // sideState is the per-side search state (the bi-directional search
 // runs two of these).
@@ -91,9 +97,6 @@ func (e *engine2D) newSide(src graph.Vertex) *sideState {
 	}
 	return s
 }
-
-// universe returns the global vertex count.
-func (e *engine2D) universe() int { return e.st.Layout.N }
 
 // expandWire encodes an expand payload (a subset of this rank's owned
 // frontier) for the wire under the configured encoding; WireSparse is
@@ -260,7 +263,7 @@ func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
 			o := &outs[ch]
 			o.bins = make([][]uint32, l.C)
 			for _, gv := range part[lo:hi] {
-				ci, ok, cp := e.st.ColMap.GetCounted(gv)
+				ci, ok, cp := e.st.Column(gv)
 				o.probes += uint64(cp)
 				if !ok {
 					continue // no partial list here
@@ -289,13 +292,11 @@ func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
 				bins[j] = append(bins[j], b...)
 			}
 		}
-		// Credit the shared counter once. probeDelta sums the ColMap and
-		// RowMap counters, so folding the RowMap probes into the ColMap
-		// tally changes no reported number.
-		e.st.ColMap.AddProbes(probes)
+		// Credit the shared counter once; probeDelta reads the store's
+		// combined tally.
+		e.st.AddProbes(probes)
 	} else {
-		colProbes0 := e.st.ColMap.Probes()
-		rowProbes0 := e.st.RowMap.Probes()
+		probes0 := e.st.Probes()
 		for _, gv := range part {
 			list := e.st.PartialList(graph.Vertex(gv))
 			scanned += len(list)
@@ -312,7 +313,7 @@ func (e *engine2D) scanPart(s *sideState, part []uint32, bins [][]uint32) int {
 				bins[l.ColBlockOf(u)] = append(bins[l.ColBlockOf(u)], uint32(u))
 			}
 		}
-		probes = (e.st.ColMap.Probes() - colProbes0) + (e.st.RowMap.Probes() - rowProbes0)
+		probes = e.st.Probes() - probes0
 	}
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
@@ -421,6 +422,9 @@ func (e *engine2D) ownedOutDegrees() []uint32 {
 
 // totalOutDegree returns this rank's owned vertices' degree sum.
 func (e *engine2D) totalOutDegree() uint64 {
+	if e.st.Dense() {
+		return uint64(len(e.st.Rows))
+	}
 	var sum uint64
 	for _, d := range e.ownedOutDegrees() {
 		sum += uint64(d)
@@ -431,8 +435,15 @@ func (e *engine2D) totalOutDegree() uint64 {
 // frontierOutDegree returns the degree sum over s's frontier — the
 // edges a top-down expansion of it would scan, globally once reduced.
 func (e *engine2D) frontierOutDegree(s *sideState) uint64 {
-	deg := e.ownedOutDegrees()
 	var sum uint64
+	if off := e.st.Off; e.st.Dense() {
+		s.F.Iterate(func(gv uint32) {
+			li := e.st.LocalOf(graph.Vertex(gv))
+			sum += uint64(off[li+1] - off[li])
+		})
+		return sum
+	}
+	deg := e.ownedOutDegrees()
 	s.F.Iterate(func(gv uint32) {
 		sum += uint64(deg[e.st.LocalOf(graph.Vertex(gv))])
 	})
@@ -457,11 +468,17 @@ func (e *engine2D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
 	tm := newLevelTimer(e.c)
 	h0 := e.hist
 	rec := rankLevel{frontier: s.F.Len()}
-	fbar, est := e.expand(s, tagBase)
-	rec.expandWords = est.RecvWords
-	// Received frontier vertices are processed through the hash-indexed
-	// partial lists; charge their handling.
-	e.c.ChargeItemsPar(len(fbar), e.model.VertexCost)
+	var fbar []uint32
+	if e.st.Dense() {
+		fbar = s.F.Vertices() // a 1-member column's expand is the identity
+	} else {
+		var est collective.Stats
+		fbar, est = e.expand(s, tagBase)
+		rec.expandWords = est.RecvWords
+		// Received frontier vertices are processed through the
+		// hash-indexed partial lists; charge their handling.
+		e.c.ChargeItemsPar(len(fbar), e.model.VertexCost)
+	}
 
 	bins, edges := e.neighbors(s, fbar)
 	rec.edges = edges
@@ -490,16 +507,42 @@ func (e *engine2D) stepSync(s *sideState, tagBase int) (rankLevel, bool) {
 	return rec, foundTarget
 }
 
-// Run2D executes Algorithm 2 (or, with the mesh degenerate to R=1 or
-// C=1, the 1D partitionings of Table 1) across the world. stores must
-// come from partition.Build2D with P = w.P ranks.
-func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
+// validateRun checks a run's stores against the world and rejects an
+// unknown expand selector up front, even on a 1×P mesh whose expand is
+// the identity.
+func validateRun(w *comm.World, stores []*partition.Store2D, opts Options) (*partition.Layout2D, error) {
 	if len(stores) == 0 {
 		return nil, fmt.Errorf("bfs: no stores")
 	}
 	l := stores[0].Layout
 	if l.P() != w.P || len(stores) != w.P {
 		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P(), w.P)
+	}
+	if opts.Expand < ExpandTargeted || opts.Expand > ExpandTwoPhase {
+		return nil, fmt.Errorf("bfs: unknown expand algorithm %v", opts.Expand)
+	}
+	return l, nil
+}
+
+// trivialResult handles the source==target case without communication.
+func trivialResult(n int, r, c int, source graph.Vertex) *Result {
+	res := &Result{N: n, R: r, C: c, Found: true}
+	res.Levels = make([]int32, n)
+	for i := range res.Levels {
+		res.Levels[i] = graph.Unreached
+	}
+	res.Levels[source] = 0
+	return res
+}
+
+// Run2D executes Algorithm 2 (or, with the mesh degenerate to R=1 or
+// C=1, the column- and row-wise 1D partitionings of Table 1; R=1 is
+// Algorithm 1) across the world. stores must come from
+// partition.Build2D with P = w.P ranks.
+func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, error) {
+	l, err := validateRun(w, stores, opts)
+	if err != nil {
+		return nil, err
 	}
 	if int(opts.Source) >= l.N {
 		return nil, fmt.Errorf("bfs: source %d out of range for n=%d", opts.Source, l.N)

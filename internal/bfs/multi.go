@@ -281,15 +281,9 @@ func (s *multiState) mark(opts Options, lo graph.Vertex, n int, rvs []uint32, rm
 	s.sweep++
 }
 
-// multiStepper is a partitioning engine for lane-parallel sweeps.
-type multiStepper interface {
-	newMulti(sources []graph.Vertex) *multiState
-	sweep(s *multiState, tagBase int) rankLevel
-}
-
 // multiDrive runs lane-parallel sweeps until the global lane-OR
 // frontier empties (or MaxLevels, or a cooperative cancellation).
-func multiDrive(c *comm.Comm, e multiStepper, opts Options, sources []graph.Vertex) ([]rankLevel, *multiState, *search.Canceled) {
+func multiDrive(c *comm.Comm, e *multiEngine2D, opts Options, sources []graph.Vertex) ([]rankLevel, *multiState, *search.Canceled) {
 	s := e.newMulti(sources)
 	red := newReducer(c, opts)
 	var recs []rankLevel
@@ -341,6 +335,31 @@ func (e *multiEngine2D) newMulti(sources []graph.Vertex) *multiState {
 	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
 }
 
+// expandTargets is the targeted column expand's send side: each
+// frontier vertex, lane mask alongside, is binned for the mesh rows
+// holding a partial list for it, and the row-mask scan is charged. A
+// dense store's single row takes the whole frontier, uncharged.
+func (e *multiEngine2D) expandTargets(s *multiState) ([][]uint32, [][]uint64) {
+	r := e.colG.Size()
+	dense := e.st.Dense()
+	sendV := make([][]uint32, r)
+	sendM := make([][]uint64, r)
+	s.F.Iterate(func(gv uint32) {
+		li := e.st.LocalOf(graph.Vertex(gv))
+		m := s.fmask[li]
+		for i := 0; i < r; i++ {
+			if dense || e.st.NeedsRow(li, i) {
+				sendV[i] = append(sendV[i], gv)
+				sendM[i] = append(sendM[i], m)
+			}
+		}
+	})
+	if !dense {
+		e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
+	}
+	return sendV, sendM
+}
+
 func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	if e.opts.Async {
 		return e.sweepAsync(s, tagBase)
@@ -349,35 +368,24 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 	h0 := e.hist
 	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
 	l := e.st.Layout
-	r := e.colG.Size()
-
-	// Targeted column expand: a frontier vertex travels, mask
-	// alongside, only to the mesh rows holding a partial list for it.
-	sendV := make([][]uint32, r)
-	sendM := make([][]uint64, r)
-	s.F.Iterate(func(gv uint32) {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		m := s.fmask[li]
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
-				sendV[i] = append(sendV[i], gv)
-				sendM[i] = append(sendM[i], m)
-			}
-		}
-	})
-	e.c.ChargeItems(s.F.Len()*((r+63)/64), e.model.EdgeCost)
 	b := len(s.levels)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-	send := make([][]uint32, r)
-	for i := 0; i < r; i++ {
-		if i == e.colG.Me {
-			continue // stays local, unencoded
+	sendV, sendM := e.expandTargets(s)
+	parts := sendV
+	if !e.st.Dense() {
+		r := e.colG.Size()
+		lo, n := e.st.Lo, e.st.OwnedCount()
+		send := make([][]uint32, r)
+		for i := 0; i < r; i++ {
+			if i == e.colG.Me {
+				continue // stays local, unencoded
+			}
+			send[i] = encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
 		}
-		send[i] = encodeLanes(e.pl, sendV[i], sendM[i], b, uint32(lo), n, e.opts.Wire, &e.hist)
+		o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
+		var est collective.Stats
+		parts, est = collective.AllToAll(e.c, e.colG, o, send)
+		rec.expandWords = est.RecvWords
 	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
-	parts, est := collective.AllToAll(e.c, e.colG, o, send)
-	rec.expandWords = est.RecvWords
 
 	// Scan the partial edge lists of every received frontier vertex and
 	// bin the discovered (neighbor, mask) pairs by owner mesh column
@@ -424,88 +432,6 @@ func (e *multiEngine2D) sweep(s *multiState, tagBase int) rankLevel {
 			pvs, pms = binV[j], binM[j]
 		} else {
 			pvs, pms = decodeLanes(e.pl, p, b)
-		}
-		rvs = append(rvs, pvs...)
-		rms = append(rms, pms...)
-	}
-	var d int
-	rvs, rms, d = dedupOr(rvs, rms)
-	rec.dups += d
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-
-	s.mark(e.opts, e.st.Lo, e.st.OwnedCount(), rvs, rms, &rec)
-	rec.containers = e.hist.Sub(h0)
-	tm.record(&rec)
-	return rec
-}
-
-// multiEngine1D runs lane-parallel sweeps under the conventional 1D
-// partitioning: full edge lists are local, so a sweep is one scan and
-// one personalized exchange over all P ranks (the Algorithm 1 fold).
-type multiEngine1D struct {
-	c     *comm.Comm
-	st    *partition.Store1D
-	opts  Options
-	model torus.CostModel
-	world comm.Group
-	pl    *pool.Pool
-	hist  frontier.ContainerHist
-}
-
-func newMultiEngine1D(c *comm.Comm, st *partition.Store1D, opts Options) *multiEngine1D {
-	g := comm.Group{Ranks: make([]int, c.Size()), Me: c.Rank()}
-	for i := range g.Ranks {
-		g.Ranks[i] = i
-	}
-	c.SetCores(opts.Cores)
-	return &multiEngine1D{c: c, st: st, opts: opts, model: c.Model(), world: g,
-		pl: pool.New(opts.Workers)}
-}
-
-func (e *multiEngine1D) newMulti(sources []graph.Vertex) *multiState {
-	return newMultiState(e.opts, sources, e.st.Lo, e.st.OwnedCount())
-}
-
-func (e *multiEngine1D) sweep(s *multiState, tagBase int) rankLevel {
-	if e.opts.Async {
-		return e.sweepAsync(s, tagBase)
-	}
-	tm := newLevelTimer(e.c)
-	h0 := e.hist
-	rec := rankLevel{dir: TopDown, frontier: s.F.Len()}
-	l := e.st.Layout
-	p := e.world.Size()
-
-	binV, binM, scanned := e.scanLanes(s)
-	rec.edges = scanned
-	for q := range binV {
-		var d int
-		binV[q], binM[q], d = dedupOr(binV[q], binM[q])
-		rec.dups += d
-		e.c.ChargeItems(len(binV[q])+d, e.model.VertexCost)
-	}
-	b := len(s.levels)
-	send := make([][]uint32, p)
-	for q := range binV {
-		if q == e.world.Me {
-			continue
-		}
-		dlo, dhi := l.OwnedRange(q)
-		send[q] = encodeLanes(e.pl, binV[q], binM[q], b, uint32(dlo), int(dhi-dlo), e.opts.Wire, &e.hist)
-	}
-	o := collective.Opts{Tag: tagBase, Chunk: e.opts.ChunkWords}
-	parts, fst := collective.AllToAll(e.c, e.world, o, send)
-	rec.foldWords = fst.RecvWords
-
-	var rvs []uint32
-	var rms []uint64
-	for q, part := range parts {
-		var pvs []uint32
-		var pms []uint64
-		if q == e.world.Me {
-			pvs, pms = binV[q], binM[q]
-		} else {
-			pvs, pms = decodeLanes(e.pl, part, b)
 		}
 		rvs = append(rvs, pvs...)
 		rms = append(rms, pms...)
@@ -569,12 +495,9 @@ func finishMulti(res *MultiResult, n int, ranges func(rank int) (graph.Vertex, g
 // top-down; the sent-neighbors cache does not apply (a vertex must be
 // re-sent when it carries new lanes) and is ignored.
 func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P() != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P(), w.P)
+	l, err := validateRun(w, stores, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := validateSources(sources, l.N); err != nil {
 		return nil, err
@@ -597,11 +520,11 @@ func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vert
 	comms, err := w.Run(func(c *comm.Comm) {
 		st := stores[c.Rank()]
 		e := newMultiEngine2D(c, st, opts)
-		probes0 := st.ColMap.Probes() + st.RowMap.Probes()
+		probes0 := st.Probes()
 		recs, s, cxl := multiDrive(c, e, opts, sources)
 		perRank[c.Rank()] = recs
 		laneLevels[c.Rank()] = s.levels
-		probes[c.Rank()] = st.ColMap.Probes() + st.RowMap.Probes() - probes0
+		probes[c.Rank()] = st.Probes() - probes0
 		cancels[c.Rank()] = cxl
 	})
 	if err != nil {
@@ -612,55 +535,6 @@ func MultiRun2D(w *comm.World, stores []*partition.Store2D, sources []graph.Vert
 	for _, p := range probes {
 		res.HashProbes += p
 	}
-	finishMulti(res, l.N, func(rank int) (graph.Vertex, graph.Vertex) {
-		return l.OwnedRange(rank)
-	}, laneLevels)
-	publishMetrics(opts.Metrics, &res.Result)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
-}
-
-// MultiRun1D executes a batched multi-source BFS over the dedicated 1D
-// engine.
-func MultiRun1D(w *comm.World, stores []*partition.Store1D, sources []graph.Vertex, opts Options) (*MultiResult, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("bfs: no stores")
-	}
-	l := stores[0].Layout
-	if l.P != w.P || len(stores) != w.P {
-		return nil, fmt.Errorf("bfs: %d stores on layout P=%d for world P=%d", len(stores), l.P, w.P)
-	}
-	if err := validateSources(sources, l.N); err != nil {
-		return nil, err
-	}
-	if err := validateRobustness(opts, false); err != nil {
-		return nil, err
-	}
-
-	res := &MultiResult{B: len(sources), Sources: append([]graph.Vertex(nil), sources...)}
-	res.N, res.R, res.C = l.N, 1, l.P
-	perRank := make([][]rankLevel, w.P)
-	laneLevels := make([][][]int32, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newMultiEngine1D(c, stores[c.Rank()], opts)
-		recs, s, cxl := multiDrive(c, e, opts, sources)
-		perRank[c.Rank()] = recs
-		laneLevels[c.Rank()] = s.levels
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	mergeStats(&res.Result, perRank, comms)
 	finishMulti(res, l.N, func(rank int) (graph.Vertex, graph.Vertex) {
 		return l.OwnedRange(rank)
 	}, laneLevels)

@@ -60,18 +60,17 @@ func TestMultiRun2DMatchesIndependentRuns(t *testing.T) {
 	}
 }
 
-// TestMultiRun1DMatchesSerial checks the dedicated 1D engine
-// lane-by-lane against the serial oracle and against the 2D engine's
-// batched result.
+// TestMultiRun1DMatchesSerial checks the column-wise 1D partitioning
+// (1×P mesh) lane-by-lane against the serial oracle.
 func TestMultiRun1DMatchesSerial(t *testing.T) {
 	g := testGraph(t, 500, 4, 12)
 	srcs := multiSources(g, 5)
 	for _, p := range []int{1, 3, 4} {
-		l1, err := partition.NewLayout1D(g.N, p)
+		l1, err := partition.NewLayout2D(g.N, 1, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st1, err := partition.Build1D(l1, visitCSR(g))
+		st1, err := partition.Build2D(l1, visitCSR(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +83,7 @@ func TestMultiRun1DMatchesSerial(t *testing.T) {
 		} {
 			opts := DefaultOptions(0)
 			opts.Wire = wire
-			res, err := MultiRun1D(w, st1, srcs, opts)
+			res, err := MultiRun2D(w, st1, srcs, opts)
 			if err != nil {
 				t.Fatalf("P=%d wire=%v: %v", p, wire, err)
 			}

@@ -1,11 +1,12 @@
 // Package bfs implements the paper's contribution: level-synchronized
-// distributed breadth-first search with 1D (Algorithm 1) and 2D
-// (Algorithm 2) partitionings, the bi-directional variant of §2.3, the
-// sent-neighbors cache of §2.4.3, fixed-length message buffers of §3.1,
-// and selectable expand/fold collective algorithms including the
-// BlueGene/L-optimized two-phase operations of §3.2.
+// distributed breadth-first search with 2D (Algorithm 2) partitioning —
+// whose 1×P mesh is the 1D partitioning of Algorithm 1 — the
+// bi-directional variant of §2.3, the sent-neighbors cache of §2.4.3,
+// fixed-length message buffers of §3.1, and selectable expand/fold
+// collective algorithms including the BlueGene/L-optimized two-phase
+// operations of §3.2.
 //
-// Beyond the paper, both engines support direction-optimizing
+// Beyond the paper, the engine supports direction-optimizing
 // traversal: each level can run top-down (the paper's expansion),
 // bottom-up (unlabeled vertices search their own edge lists for a
 // frontier parent, exchanged as bitmaps), or switch per level on a

@@ -49,7 +49,7 @@ func (ls LevelStats) HiddenFrac() float64 {
 // Result reports a finished distributed search.
 type Result struct {
 	N        int // graph vertices
-	R, C     int // mesh (R=1 for the 1D engine)
+	R, C     int // mesh (R=1 for the column-wise 1D partitioning)
 	Levels   []int32
 	PerLevel []LevelStats
 

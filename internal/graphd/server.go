@@ -561,6 +561,13 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ans = <-ch:
 			timer.Stop()
+			if ans.err == nil && time.Now().After(deadline) {
+				// The shared sweep answered its patient riders within
+				// this query's grace, but after its own budget ran out.
+				s.writeDeadline(w, fmt.Sprintf(
+					"bfs from %d: query deadline exceeded (timeout %dms)", src, req.TimeoutMS), nil)
+				return
+			}
 		case <-timer.C:
 			// The shared sweep is still running for patient riders; this
 			// query's own budget is spent. The buffered answer channel

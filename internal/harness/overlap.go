@@ -83,11 +83,11 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout1, err := partition.NewLayout1D(n, p)
+	layout1, err := partition.NewLayout2D(n, 1, p)
 	if err != nil {
 		return nil, err
 	}
-	wstores1, err := partition.Build1DWeighted(layout1, wg.VisitWeightedEdges)
+	wstores1, err := partition.Build2DWeighted(layout1, wg.VisitWeightedEdges)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func RunAblationOverlap(cfg Config) (*Table, error) {
 		{"sssp 1d " + meshLabel(1, p), func(async bool) (*sssp.Result, error) {
 			opts := sssp.DefaultOptions(wsrc)
 			opts.Async = async
-			return sssp.Run1D(w.cl.world, wstores1, opts)
+			return sssp.Run2D(w.cl.world, wstores1, opts)
 		}},
 	}
 	for _, sr := range ssspRuns {

@@ -1,9 +1,12 @@
-// Package partition implements the 1D (vertex) and 2D (edge)
-// partitionings of §2.1–2.2 and the per-rank storage of §2.4: blocked
-// vertex ownership, partial edge lists indexed only when non-empty, the
-// three global→local mappings, and the per-owned-vertex row-need masks
-// that let the targeted expand send a frontier vertex only to ranks
-// actually holding part of its edge list.
+// Package partition implements the 2D (edge) partitioning of §2.2 and
+// the per-rank storage of §2.4: blocked vertex ownership, partial edge
+// lists indexed only when non-empty, the three global→local mappings,
+// and the per-owned-vertex row-need masks that let the targeted expand
+// send a frontier vertex only to ranks actually holding part of its
+// edge list. The 1D partitionings of §2.1 are its degenerate meshes: a
+// 1×P layout is the column-wise 1D partitioning (each rank stores the
+// full edge lists of its owned vertices, indexed densely by local
+// index), and P×1 is the row-wise one.
 package partition
 
 import (
@@ -28,6 +31,7 @@ type Layout2D struct {
 	N    int // vertices
 	R, C int // mesh dimensions
 	bs   int // block size = ceil(N/P)
+	cw   int // block-column width R*bs
 }
 
 // NewLayout2D validates and builds a layout.
@@ -40,7 +44,7 @@ func NewLayout2D(n, r, c int) (*Layout2D, error) {
 	}
 	p := r * c
 	bs := (n + p - 1) / p
-	return &Layout2D{N: n, R: r, C: c, bs: bs}, nil
+	return &Layout2D{N: n, R: r, C: c, bs: bs, cw: r * bs}, nil
 }
 
 // P returns the number of ranks R*C.
@@ -92,7 +96,7 @@ func (l *Layout2D) OwnedCount(rank int) int {
 
 // ColBlockOf returns the processor-column index j whose ranks (i', j)
 // store the edge lists (matrix column) of vertex v.
-func (l *Layout2D) ColBlockOf(v graph.Vertex) int { return l.BlockOf(v) / l.R }
+func (l *Layout2D) ColBlockOf(v graph.Vertex) int { return int(v) / l.cw }
 
 // RowIndexOf returns the mesh row i' of the ranks storing matrix rows
 // of vertex u (entries "u appears in an edge list").
@@ -102,47 +106,4 @@ func (l *Layout2D) RowIndexOf(u graph.Vertex) int { return l.BlockOf(u) % l.R }
 // (row u, column v): mesh position (RowIndexOf(u), ColBlockOf(v)).
 func (l *Layout2D) StoringRank(u, v graph.Vertex) int {
 	return l.RankAt(l.RowIndexOf(u), l.ColBlockOf(v))
-}
-
-// Layout1D is the conventional 1D vertex partitioning of §2.1: rank q
-// owns the q-th contiguous block of vertices and their full edge lists.
-type Layout1D struct {
-	N, P int
-	bs   int
-}
-
-// NewLayout1D validates and builds a layout.
-func NewLayout1D(n, p int) (*Layout1D, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("partition: n must be positive, got %d", n)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("partition: p must be positive, got %d", p)
-	}
-	return &Layout1D{N: n, P: p, bs: (n + p - 1) / p}, nil
-}
-
-// BlockSize returns ceil(N/P).
-func (l *Layout1D) BlockSize() int { return l.bs }
-
-// OwnerRank returns the rank owning vertex v.
-func (l *Layout1D) OwnerRank(v graph.Vertex) int { return int(v) / l.bs }
-
-// OwnedRange returns the [lo, hi) vertex range owned by rank.
-func (l *Layout1D) OwnedRange(rank int) (lo, hi graph.Vertex) {
-	start := rank * l.bs
-	end := start + l.bs
-	if start > l.N {
-		start = l.N
-	}
-	if end > l.N {
-		end = l.N
-	}
-	return graph.Vertex(start), graph.Vertex(end)
-}
-
-// OwnedCount returns the number of vertices owned by rank.
-func (l *Layout1D) OwnedCount(rank int) int {
-	lo, hi := l.OwnedRange(rank)
-	return int(hi - lo)
 }

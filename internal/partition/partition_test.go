@@ -123,8 +123,10 @@ func TestLayout2DQuick(t *testing.T) {
 	}
 }
 
+// TestLayout1DBasics checks the column-wise 1D partitioning as the
+// 1×P layout: contiguous blocks in rank order, a short last block.
 func TestLayout1DBasics(t *testing.T) {
-	l, err := NewLayout1D(10, 3) // bs = 4
+	l, err := NewLayout2D(10, 1, 3) // bs = 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +136,16 @@ func TestLayout1DBasics(t *testing.T) {
 	if l.OwnedCount(0) != 4 || l.OwnedCount(2) != 2 {
 		t.Fatalf("1D counts wrong: %d %d", l.OwnedCount(0), l.OwnedCount(2))
 	}
-	if _, err := NewLayout1D(0, 1); err == nil {
+	for v := graph.Vertex(0); v < 10; v++ {
+		if l.ColBlockOf(v) != l.OwnerRank(v) || l.StoringRank(0, v) != l.OwnerRank(v) {
+			t.Fatalf("vertex %d: block column %d, storing rank %d, owner %d",
+				v, l.ColBlockOf(v), l.StoringRank(0, v), l.OwnerRank(v))
+		}
+	}
+	if _, err := NewLayout2D(0, 1, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := NewLayout1D(5, 0); err == nil {
+	if _, err := NewLayout2D(5, 1, 0); err == nil {
 		t.Error("p=0 accepted")
 	}
 }
@@ -155,22 +163,33 @@ func visitCSR(g *graph.CSR) func(func(u, v graph.Vertex)) error {
 	}
 }
 
+// TestBuild1DMatchesCSR checks the dense store a 1×P layout builds:
+// each rank holds the full edge list of every owned vertex, indexed by
+// local index, with no column map, and RowMap numbers every distinct
+// target in edge-list order.
 func TestBuild1DMatchesCSR(t *testing.T) {
 	g, err := graph.Generate(graph.Params{N: 300, K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := NewLayout1D(g.N, 4)
-	stores, err := Build1D(l, visitCSR(g))
+	l, _ := NewLayout2D(g.N, 1, 4)
+	stores, err := Build2D(l, visitCSR(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalEdges := int64(0)
 	for _, st := range stores {
-		totalEdges += int64(len(st.Adj))
+		if !st.Dense() || st.ColMap != nil || st.ColIds != nil || st.RowNeed != nil {
+			t.Fatalf("rank %d: 1xP store is not dense", st.Rank)
+		}
+		if st.Columns() != st.OwnedCount() {
+			t.Fatalf("rank %d: %d columns for %d owned vertices", st.Rank, st.Columns(), st.OwnedCount())
+		}
+		totalEdges += int64(len(st.Rows))
+		probes0 := st.Probes()
 		for li := uint32(0); li < uint32(st.OwnedCount()); li++ {
 			v := st.GlobalOf(li)
-			got := st.Neighbors(li)
+			got := st.PartialList(v)
 			want := g.Neighbors(v)
 			if len(got) != len(want) {
 				t.Fatalf("vertex %d: %d neighbors, want %d", v, len(got), len(want))
@@ -185,18 +204,70 @@ func TestBuild1DMatchesCSR(t *testing.T) {
 				}
 			}
 		}
-		// TargetMap covers every adjacency entry.
-		for _, u := range st.Adj {
-			if _, ok := st.TargetMap.Get(u); !ok {
-				t.Fatalf("rank %d: target %d missing from TargetMap", st.Rank, u)
+		if st.PartialList(st.Hi) != nil || st.Probes() != probes0 {
+			t.Fatalf("rank %d: dense lookups must stay local and probe-free", st.Rank)
+		}
+		// RowMap numbers the distinct targets in first-appearance order.
+		next := uint32(0)
+		seen := map[graph.Vertex]bool{}
+		for _, u := range st.Rows {
+			idx, ok := st.RowMap.Get(u)
+			if !ok {
+				t.Fatalf("rank %d: target %d missing from RowMap", st.Rank, u)
+			}
+			if !seen[u] {
+				if idx != next {
+					t.Fatalf("rank %d: target %d has index %d, want %d", st.Rank, u, idx, next)
+				}
+				seen[u] = true
+				next++
 			}
 		}
-		if st.TargetCount != st.TargetMap.Len() {
-			t.Fatalf("rank %d: TargetCount %d != map len %d", st.Rank, st.TargetCount, st.TargetMap.Len())
+		if st.RowCount != st.RowMap.Len() || st.RowCount != len(seen) {
+			t.Fatalf("rank %d: RowCount %d, map len %d, distinct %d", st.Rank, st.RowCount, st.RowMap.Len(), len(seen))
 		}
 	}
 	if totalEdges != 2*g.NumEdges() {
 		t.Fatalf("total directed entries %d, want %d", totalEdges, 2*g.NumEdges())
+	}
+}
+
+// TestMemoryDenseColumns checks that DenseColumns counts the vertices
+// actually in a rank's block column when n is not a multiple of P: at
+// n=10 on 4x4 the block size is 1, so block column 3 (blocks 12..15)
+// is empty and column 2 holds only vertices 8 and 9.
+func TestMemoryDenseColumns(t *testing.T) {
+	edges := func(fn func(u, v graph.Vertex)) error {
+		for v := graph.Vertex(1); v < 10; v++ {
+			fn(v-1, v)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		n, r, c int
+		want    []int // DenseColumns per block column
+	}{
+		{10, 4, 4, []int{4, 4, 2, 0}},
+		{10, 2, 3, []int{4, 4, 2}},
+		{10, 1, 4, []int{3, 3, 3, 1}},
+	} {
+		l, err := NewLayout2D(tc.n, tc.r, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores, err := Build2D(l, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stores {
+			m := st.Memory()
+			if m.DenseColumns != tc.want[st.J] {
+				t.Errorf("n=%d %dx%d rank %d: DenseColumns %d, want %d", tc.n, tc.r, tc.c, st.Rank, m.DenseColumns, tc.want[st.J])
+			}
+			if m.NonEmptyColumns > m.DenseColumns {
+				t.Errorf("n=%d %dx%d rank %d: %d non-empty columns above %d", tc.n, tc.r, tc.c, st.Rank, m.NonEmptyColumns, m.DenseColumns)
+			}
+		}
 	}
 }
 

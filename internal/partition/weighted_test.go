@@ -16,22 +16,23 @@ func weightedTestGraph(t *testing.T, n int, k float64, seed int64) *graph.CSR {
 	return g
 }
 
+// TestBuild1DWeightedCarriesWeights checks a weighted 1×P build: every
+// owned vertex's full list carries the CSR's (neighbor, weight) pairs.
 func TestBuild1DWeightedCarriesWeights(t *testing.T) {
 	g := weightedTestGraph(t, 500, 6, 2)
-	l, err := NewLayout1D(g.N, 4)
+	l, err := NewLayout2D(g.N, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores, err := Build1DWeighted(l, g.VisitWeightedEdges)
+	stores, err := Build2DWeighted(l, g.VisitWeightedEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every owned vertex's (neighbor, weight) multiset matches the CSR.
 	for _, st := range stores {
-		for li := 0; li < st.OwnedCount(); li++ {
-			v := st.GlobalOf(uint32(li))
+		for v := st.Lo; v < st.Hi; v++ {
 			want := pairCounts(g.Neighbors(v), g.EdgeWeights(v))
-			got := pairCounts(st.Neighbors(uint32(li)), st.Weights(uint32(li)))
+			got := pairCounts(st.PartialList(v), st.PartialWeights(v))
 			if len(want) != len(got) {
 				t.Fatalf("vertex %d: %d distinct (u,w) pairs, want %d", v, len(got), len(want))
 			}
@@ -42,16 +43,16 @@ func TestBuild1DWeightedCarriesWeights(t *testing.T) {
 			}
 		}
 	}
-	// Unweighted build leaves Wt nil.
-	plain, err := Build1D(l, func(fn func(u, v graph.Vertex)) error {
+	// Unweighted build leaves RowWts nil.
+	plain, err := Build2D(l, func(fn func(u, v graph.Vertex)) error {
 		return g.VisitWeightedEdges(func(u, v graph.Vertex, w uint32) { fn(u, v) })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range plain {
-		if st.Wt != nil {
-			t.Fatal("unweighted Build1D allocated weights")
+		if st.RowWts != nil {
+			t.Fatal("unweighted 1xP build allocated weights")
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/torus"
 )
 
-// Overlapped (asynchronous) relaxation rounds. Both engines keep the
+// Overlapped (asynchronous) relaxation rounds. They keep the
 // synchronous payloads and statistics bit-for-bit; only the schedule
 // changes: every exchange posts its sends before any wait, received
 // request batches stream into the partial-list scan as they complete,
@@ -40,50 +40,38 @@ func dedupPrep(c *comm.Comm, model torus.CostModel, pl *pool.Pool, me int, wire 
 	}
 }
 
-// scatterAsync is the overlapped 2D relaxation round: the targeted
-// column expand streams active batches into the scan, and the row
-// exchange pipelines behind the per-bin min-merges.
+// scatterAsync is the overlapped relaxation round: the targeted column
+// expand streams active batches into the scan, and the row exchange
+// pipelines behind the per-bin min-merges.
 func (e *engine2D) scatterAsync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
 	h0 := e.hist
 	l := e.st.Layout
-	r := e.colG.Size()
-
-	sendV := make([][]uint32, r)
-	sendD := make([][]uint32, r)
-	for idx, gv := range vs {
-		li := e.st.LocalOf(graph.Vertex(gv))
-		for i := 0; i < r; i++ {
-			if e.st.NeedsRow(li, i) {
-				sendV[i] = append(sendV[i], gv)
-				sendD[i] = append(sendD[i], ds[idx])
-			}
-		}
-	}
-	e.c.ChargeItems(len(vs)*((r+63)/64), e.model.EdgeCost)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-
 	binV := make([][]uint32, l.C)
 	binD := make([][]uint32, l.C)
-	scanned := 0
-	handle := func(m int, part []uint32) {
-		var avs, ads []uint32
-		if m == e.colG.Me {
-			avs, ads = sendV[m], sendD[m]
-		} else {
-			avs, ads = decodeRequests(e.pl, part)
+	sendV, sendD := e.expandTargets(vs, ds)
+	if e.st.Dense() {
+		rec.edges += e.relaxPart(sendV[0], sendD[0], light, delta, binV, binD)
+	} else {
+		lo, n := e.st.Lo, e.st.OwnedCount()
+		handle := func(m int, part []uint32) {
+			var avs, ads []uint32
+			if m == e.colG.Me {
+				avs, ads = sendV[m], sendD[m]
+			} else {
+				avs, ads = decodeRequests(e.pl, part)
+			}
+			rec.edges += e.relaxPart(avs, ads, light, delta, binV, binD)
 		}
-		scanned += e.relaxPart(avs, ads, light, delta, binV, binD)
-	}
-	prep := func(i int) []uint32 {
-		if i == e.colG.Me {
-			return nil
+		prep := func(i int) []uint32 {
+			if i == e.colG.Me {
+				return nil
+			}
+			return encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
 		}
-		return encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
+		o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
+		_, est := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
+		rec.expandWords = est.RecvWords
 	}
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
-	_, est := collective.AllToAllAsync(e.c, e.colG, o, prep, handle)
-	rec.expandWords = est.RecvWords
-	rec.edges += scanned
 
 	prepR := dedupPrep(e.c, e.model, e.pl, e.rowG.Me, e.opts.Wire, &e.hist,
 		func(m int) (graph.Vertex, graph.Vertex) { return l.OwnedRange(e.rowG.World(m)) },
@@ -101,40 +89,6 @@ func (e *engine2D) scatterAsync(vs, ds []uint32, light bool, delta uint32, tag i
 	}
 	o2 := collective.Opts{Tag: tag + 1<<24, Chunk: e.opts.ChunkWords, Async: true}
 	_, fst := collective.AllToAllAsync(e.c, e.rowG, o2, prepR, handleR)
-	rec.foldWords = fst.RecvWords
-
-	var d int
-	rvs, rds, d = dedupMin(rvs, rds)
-	e.c.ChargeItems(len(rvs)+d, e.model.VertexCost)
-	rec.containers.Add(e.hist.Sub(h0))
-	return rvs, rds
-}
-
-// scatterAsync is the overlapped 1D relaxation round: the scan is
-// local, so the win is the pipelined delivery — per-bin min-merges
-// interleave with the posts, and all P-1 transfers fly concurrently.
-func (e *engine1D) scatterAsync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	h0 := e.hist
-	l := e.st.Layout
-	binV, binD, scanned := e.relaxScan(vs, ds, light, delta)
-	rec.edges += scanned
-
-	prep := dedupPrep(e.c, e.model, e.pl, e.world.Me, e.opts.Wire, &e.hist,
-		func(m int) (graph.Vertex, graph.Vertex) { return l.OwnedRange(m) },
-		binV, binD)
-	var rvs, rds []uint32
-	handle := func(q int, part []uint32) {
-		var pvs, pds []uint32
-		if q == e.world.Me {
-			pvs, pds = binV[q], binD[q]
-		} else {
-			pvs, pds = decodeRequests(e.pl, part)
-		}
-		rvs = append(rvs, pvs...)
-		rds = append(rds, pds...)
-	}
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords, Async: true}
-	_, fst := collective.AllToAllAsync(e.c, e.world, o, prep, handle)
 	rec.foldWords = fst.RecvWords
 
 	var d int

@@ -42,7 +42,7 @@ func optsFingerprint(o Options) uint64 {
 
 // runFingerprint is the full workload identity: engine partitioning,
 // options, and world size.
-func runFingerprint(e engine, opts Options, p int) uint64 {
+func runFingerprint(e *engine2D, opts Options, p int) uint64 {
 	return checkpoint.Fingerprint(e.fingerprint(), optsFingerprint(opts), uint64(p))
 }
 
@@ -181,12 +181,7 @@ func decodeHist(dec *checkpoint.Dec) frontier.ContainerHist {
 	}
 }
 
-// engine fingerprints.
-
-func (e *engine1D) fingerprint() uint64 {
-	l := e.st.Layout
-	return checkpoint.Fingerprint(uint64(l.N), 1, uint64(l.P))
-}
+// engine fingerprint.
 
 func (e *engine2D) fingerprint() uint64 {
 	l := e.st.Layout

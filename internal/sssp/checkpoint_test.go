@@ -78,7 +78,7 @@ func TestCheckpointRestore1D(t *testing.T) {
 	src := graph.LargestComponentVertex(g)
 	opts := DefaultOptions(src)
 
-	full, err := Run1D(w, stores, opts)
+	full, err := Run2D(w, stores, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCheckpointRestore1D(t *testing.T) {
 	}
 
 	opts.Checkpoint = checkpoint.NewPlan(full.Epochs / 2)
-	if _, err := Run1D(w, stores, opts); err != nil {
+	if _, err := Run2D(w, stores, opts); err != nil {
 		t.Fatal(err)
 	}
 	snap := opts.Checkpoint.Snapshot()
@@ -96,7 +96,7 @@ func TestCheckpointRestore1D(t *testing.T) {
 	ropts := opts
 	ropts.Checkpoint = nil
 	ropts.Restore = snap
-	restored, err := Run1D(w2, stores, ropts)
+	restored, err := Run2D(w2, stores, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}

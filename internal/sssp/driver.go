@@ -14,28 +14,6 @@ import (
 	"repro/internal/search"
 )
 
-// engine abstracts one rank's partitioned storage for relaxation
-// rounds; the bucket bookkeeping and phase schedule below are shared
-// between the 1D and 2D implementations.
-type engine interface {
-	comm() *comm.Comm
-	ownedRange() (lo graph.Vertex, n int)
-	universe() int
-	// maxWeight returns the largest local edge weight (1 if none).
-	maxWeight() uint32
-	// localEdgeEntries counts local edge-list entries (the degree
-	// estimate feeding the default-Δ heuristic).
-	localEdgeEntries() int
-	// scatter relaxes the selected class of edges (light: w <= Δ,
-	// heavy: w > Δ) out of the active owned vertices, exchanges the
-	// requests, and returns the ones owned by this rank, deduplicated
-	// to the minimum distance per vertex.
-	scatter(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) (rvs, rds []uint32)
-	// fingerprint identifies the engine's partitioned workload (graph
-	// size, mesh shape) for checkpoint compatibility checks.
-	fingerprint() uint64
-}
-
 // rankState is one rank's Δ-stepping search state.
 type rankState struct {
 	lo    uint32
@@ -180,7 +158,7 @@ func checkCancel(opts Options, c *comm.Comm, done int) *search.Canceled {
 // reduced, so every rank runs the same epoch sequence. A non-nil
 // *search.Canceled return means the run stopped cooperatively with the
 // state holding partial tentative distances.
-func runRank(e engine, opts Options) ([]epochRec, *rankState, *search.Canceled) {
+func runRank(e *engine2D, opts Options) ([]epochRec, *rankState, *search.Canceled) {
 	c := e.comm()
 	model := c.Model()
 	lo, n := e.ownedRange()
@@ -342,57 +320,6 @@ func Run2D(w *comm.World, stores []*partition.Store2D, opts Options) (*Result, e
 	cancels := make([]*search.Canceled, w.P)
 	comms, err := w.Run(func(c *comm.Comm) {
 		e := newEngine2D(c, stores[c.Rank()], opts)
-		recs, st, cxl := runRank(e, opts)
-		perRank[c.Rank()] = recs
-		dists[c.Rank()] = st.D
-		deltas[c.Rank()] = st.delta
-		cancels[c.Rank()] = cxl
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Wall = time.Since(start)
-	res.Delta = deltas[0]
-	mergeStats(res, perRank, comms)
-	res.BucketsDrained = countBuckets(res.PerEpoch)
-	res.Dist = make([]uint32, l.N)
-	for r, st := range stores {
-		copy(res.Dist[int(st.Lo):int(st.Lo)+st.OwnedCount()], dists[r])
-	}
-	publishMetrics(opts.Metrics, res)
-	if cxl := search.MergeCanceled(cancels); cxl != nil {
-		return res, cxl
-	}
-	return res, nil
-}
-
-// Run1D executes distributed Δ-stepping over the dedicated 1D engine.
-func Run1D(w *comm.World, stores []*partition.Store1D, opts Options) (*Result, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("sssp: no stores")
-	}
-	l := stores[0].Layout
-	if err := validate(len(stores), w.P, l.N, opts); err != nil {
-		return nil, err
-	}
-	if l.P != w.P {
-		return nil, fmt.Errorf("sssp: layout P=%d for world P=%d", l.P, w.P)
-	}
-	if err := validateRobustness(opts); err != nil {
-		return nil, err
-	}
-	res := &Result{N: l.N, R: 1, C: l.P}
-	perRank := make([][]epochRec, w.P)
-	dists := make([][]uint32, w.P)
-	deltas := make([]uint32, w.P)
-	w.SetTrace(opts.Trace)
-	defer w.SetTrace(nil)
-	w.SetFault(opts.Fault)
-	defer w.SetFault(nil)
-	start := time.Now()
-	cancels := make([]*search.Canceled, w.P)
-	comms, err := w.Run(func(c *comm.Comm) {
-		e := newEngine1D(c, stores[c.Rank()], opts)
 		recs, st, cxl := runRank(e, opts)
 		perRank[c.Rank()] = recs
 		dists[c.Rank()] = st.D

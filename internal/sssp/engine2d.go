@@ -19,6 +19,13 @@ import (
 // processor-row personalized exchange delivers the requests to the
 // owners (every neighbor discovered on mesh row i is owned by a rank
 // of row i, the same invariant the BFS fold rides).
+//
+// On a 1×P mesh (R = 1, the column-wise 1D partitioning) the store is
+// dense and the column expand is the identity: active vertices relax
+// their own full edge lists and a single personalized exchange over all
+// P ranks delivers the requests (the Algorithm 1 fold shape). The
+// engine neither performs nor charges the expand or the handling of
+// its output.
 type engine2D struct {
 	c     *comm.Comm
 	st    *partition.Store2D
@@ -85,15 +92,16 @@ func (e *engine2D) scatter(vs, ds []uint32, light bool, delta uint32, tag int, r
 	return e.scatterSync(vs, ds, light, delta, tag, rec)
 }
 
-// scatterSync is the phase-synchronous relaxation round.
-func (e *engine2D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
-	h0 := e.hist
-	l := e.st.Layout
+// expandTargets is the targeted column expand's send side: an active
+// vertex is binned, tentative distance alongside, only for the mesh
+// rows holding a non-empty partial edge list for it (§2.2), and the
+// row-mask scan is charged. A dense store's single row takes the whole
+// active set, uncharged.
+func (e *engine2D) expandTargets(vs, ds []uint32) ([][]uint32, [][]uint32) {
+	if e.st.Dense() {
+		return [][]uint32{vs}, [][]uint32{ds}
+	}
 	r := e.colG.Size()
-
-	// Targeted column expand: an active vertex travels only to the mesh
-	// rows holding a non-empty partial edge list for it (§2.2), carrying
-	// its tentative distance alongside.
 	sendV := make([][]uint32, r)
 	sendD := make([][]uint32, r)
 	for idx, gv := range vs {
@@ -106,17 +114,30 @@ func (e *engine2D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag in
 		}
 	}
 	e.c.ChargeItems(len(vs)*((r+63)/64), e.model.EdgeCost)
-	lo, n := e.st.Lo, e.st.OwnedCount()
-	send := make([][]uint32, r)
-	for i := 0; i < r; i++ {
-		if i == e.colG.Me {
-			continue // stays local, unencoded
+	return sendV, sendD
+}
+
+// scatterSync is the phase-synchronous relaxation round.
+func (e *engine2D) scatterSync(vs, ds []uint32, light bool, delta uint32, tag int, rec *epochRec) ([]uint32, []uint32) {
+	h0 := e.hist
+	l := e.st.Layout
+	sendV, sendD := e.expandTargets(vs, ds)
+	parts := sendV
+	if !e.st.Dense() {
+		r := e.colG.Size()
+		lo, n := e.st.Lo, e.st.OwnedCount()
+		send := make([][]uint32, r)
+		for i := 0; i < r; i++ {
+			if i == e.colG.Me {
+				continue // stays local, unencoded
+			}
+			send[i] = encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
 		}
-		send[i] = encodeRequests(e.pl, sendV[i], sendD[i], uint32(lo), n, e.opts.Wire, &e.hist)
+		o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
+		var est collective.Stats
+		parts, est = collective.AllToAll(e.c, e.colG, o, send)
+		rec.expandWords = est.RecvWords
 	}
-	o := collective.Opts{Tag: tag, Chunk: e.opts.ChunkWords}
-	parts, est := collective.AllToAll(e.c, e.colG, o, send)
-	rec.expandWords = est.RecvWords
 
 	// Scan the partial edge lists of every received active vertex and
 	// bin the resulting relax requests by owner mesh column (relaxPart

@@ -13,82 +13,12 @@ import (
 // bit-identical to the serial scan.
 const relaxGrain = 512
 
-// relaxScan relaxes one class of edges out of the active owned
-// vertices on the worker pool, binning the (neighbor, candidate) relax
-// requests by owner rank — the 1D scan shared by the synchronous and
-// overlapped schedules — and charges the edge scan.
-func (e *engine1D) relaxScan(vs, ds []uint32, light bool, delta uint32) (binV, binD [][]uint32, scanned int) {
-	l := e.st.Layout
-	p := e.world.Size()
-	binV = make([][]uint32, p)
-	binD = make([][]uint32, p)
-	if nc := pool.Chunks(len(vs), relaxGrain); e.pl.Workers() > 1 && nc > 1 {
-		type chunkOut struct {
-			binV    [][]uint32
-			binD    [][]uint32
-			scanned int
-		}
-		outs := make([]chunkOut, nc)
-		e.pl.Run(len(vs), relaxGrain, func(ch, lo, hi int) {
-			o := &outs[ch]
-			o.binV = make([][]uint32, p)
-			o.binD = make([][]uint32, p)
-			for idx := lo; idx < hi; idx++ {
-				li := e.st.LocalOf(graph.Vertex(vs[idx]))
-				dv := ds[idx]
-				for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
-					o.scanned++
-					w := e.weightAt(i)
-					if (w <= delta) != light {
-						continue
-					}
-					cand := dv + w
-					if cand < dv || cand == graph.MaxDist {
-						continue // saturated: stays unreachable
-					}
-					u := e.st.Adj[i]
-					q := l.OwnerRank(u)
-					o.binV[q] = append(o.binV[q], uint32(u))
-					o.binD[q] = append(o.binD[q], cand)
-				}
-			}
-		})
-		for i := range outs {
-			scanned += outs[i].scanned
-			for q := range outs[i].binV {
-				binV[q] = append(binV[q], outs[i].binV[q]...)
-				binD[q] = append(binD[q], outs[i].binD[q]...)
-			}
-		}
-	} else {
-		for idx, gv := range vs {
-			li := e.st.LocalOf(graph.Vertex(gv))
-			dv := ds[idx]
-			for i := e.st.Off[li]; i < e.st.Off[li+1]; i++ {
-				scanned++
-				w := e.weightAt(i)
-				if (w <= delta) != light {
-					continue
-				}
-				cand := dv + w
-				if cand < dv || cand == graph.MaxDist {
-					continue // saturated: stays unreachable
-				}
-				u := e.st.Adj[i]
-				q := l.OwnerRank(u)
-				binV[q] = append(binV[q], uint32(u))
-				binD[q] = append(binD[q], cand)
-			}
-		}
-	}
-	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
-	return binV, binD, scanned
-}
-
 // relaxPart scans the partial edge lists of one arrived active batch
 // on the worker pool, appending relax requests to the per-column bins
 // in chunk order, and charges the pair handling, edge scan, and hash
-// probes. Both 2D schedules call it once per arrived part.
+// probes. Both 2D schedules call it once per arrived part. A dense
+// store's batch is its own active set, not a received part, so it pays
+// no handling.
 func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, binD [][]uint32) int {
 	l := e.st.Layout
 	scanned := 0
@@ -106,7 +36,7 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 			o.binV = make([][]uint32, l.C)
 			o.binD = make([][]uint32, l.C)
 			for idx := lo; idx < hi; idx++ {
-				ci, ok, pr := e.st.ColMap.GetCounted(avs[idx])
+				ci, ok, pr := e.st.Column(avs[idx])
 				o.probes += uint64(pr)
 				if !ok {
 					continue // no partial list here (possible only locally)
@@ -137,11 +67,10 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 				binD[j] = append(binD[j], outs[i].binD[j]...)
 			}
 		}
-		e.st.ColMap.AddProbes(probes)
 	} else {
-		p0 := e.st.ColMap.Probes()
 		for idx, gv := range avs {
-			ci, ok := e.st.ColMap.Get(graph.Vertex(gv))
+			ci, ok, pr := e.st.Column(gv)
+			probes += uint64(pr)
 			if !ok {
 				continue // no partial list here (possible only locally)
 			}
@@ -162,9 +91,11 @@ func (e *engine2D) relaxPart(avs, ads []uint32, light bool, delta uint32, binV, 
 				binD[j] = append(binD[j], cand)
 			}
 		}
-		probes = e.st.ColMap.Probes() - p0
 	}
-	e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	e.st.AddProbes(probes)
+	if !e.st.Dense() {
+		e.c.ChargeItemsPar(len(avs), e.model.VertexCost)
+	}
 	e.c.ChargeItemsPar(scanned, e.model.EdgeCost)
 	e.c.ChargeItemsPar(int(probes), e.model.HashCost)
 	return scanned

@@ -35,13 +35,13 @@ func build2D(t testing.TB, g *graph.CSR, r, c int) *fixture {
 	return &fixture{g: g, stores: stores, world: w, src: graph.LargestComponentVertex(g)}
 }
 
-func build1D(t testing.TB, g *graph.CSR, p int) ([]*partition.Store1D, *comm.World) {
+func build1D(t testing.TB, g *graph.CSR, p int) ([]*partition.Store2D, *comm.World) {
 	t.Helper()
-	l, err := partition.NewLayout1D(g.N, p)
+	l, err := partition.NewLayout2D(g.N, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores, err := partition.Build1DWeighted(l, g.VisitWeightedEdges)
+	stores, err := partition.Build2DWeighted(l, g.VisitWeightedEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +177,11 @@ func TestDeltaSteppingHandBuilt(t *testing.T) {
 	}
 }
 
-// TestDeltaStepping1DEngineMatchesOracle pins the dedicated 1D engine
-// to the oracle and differentially to the 2D engine: identical
-// distances AND identical global relaxation/re-settle/edge counts,
-// because both partitionings deliver the same per-epoch request sets.
+// TestDeltaStepping1DEngineMatchesOracle pins the column-wise 1D
+// partitioning (the 1×P mesh) to the oracle and differentially to a
+// 2D mesh: identical distances AND identical global
+// relaxation/re-settle/edge counts, because both partitionings deliver
+// the same per-epoch request sets.
 func TestDeltaStepping1DEngineMatchesOracle(t *testing.T) {
 	g := poisson(t, 800, 6, 9, graph.WeightUniform, 40)
 	src := graph.LargestComponentVertex(g)
@@ -190,7 +191,7 @@ func TestDeltaStepping1DEngineMatchesOracle(t *testing.T) {
 		for _, wire := range []frontier.WireMode{frontier.WireSparse, frontier.WireAuto, frontier.WireHybrid} {
 			opts := DefaultOptions(src)
 			opts.Wire = wire
-			res, err := Run1D(w, stores, opts)
+			res, err := Run2D(w, stores, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,12 +199,12 @@ func TestDeltaStepping1DEngineMatchesOracle(t *testing.T) {
 		}
 	}
 
-	// Differential: 1D vs 2D column partitioning on equal Δ.
+	// Differential: 1x4 vs 2x2 on equal Δ.
 	stores1, w1 := build1D(t, g, 4)
-	fx := build2D(t, g, 1, 4)
+	fx := build2D(t, g, 2, 2)
 	opts := DefaultOptions(src)
 	opts.Delta = 10
-	r1, err := Run1D(w1, stores1, opts)
+	r1, err := Run2D(w1, stores1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (es EpochStats) HiddenFrac() float64 {
 // Result reports a finished distributed Δ-stepping run.
 type Result struct {
 	N     int // graph vertices
-	R, C  int // mesh (R=1 for the 1D engine)
+	R, C  int // mesh (R=1 for the column-wise 1D partitioning)
 	Delta uint32
 	// Dist holds the shortest-path distance of every vertex from the
 	// source (graph.MaxDist for unreachable vertices).

@@ -42,7 +42,7 @@ func TestWorkerPoolDeterminism(t *testing.T) {
 		{1, 1, Part2D},
 		{2, 2, Part2D},
 		{4, 4, Part2D},
-		{1, 16, Part1DCol}, // the dedicated 1D engines
+		{1, 16, Part1DCol}, // the 2D engines on a 1x16 mesh
 	}
 	wires := []struct {
 		name string
